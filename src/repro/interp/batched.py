@@ -24,7 +24,6 @@ which is what makes whole-block accounting possible.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..ir.instructions import Instruction, Opcode
@@ -53,19 +52,10 @@ class BatchedInterpreter:
         max_steps: Optional[int] = None,
         on_execute: Optional[Callable[[Instruction], None]] = None,
         cost_model=None,
-        instruction_budget: Optional[int] = None,
     ) -> None:
-        if instruction_budget is not None:
-            warnings.warn(
-                "instruction_budget is deprecated; use max_steps",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if max_steps is None:
-                max_steps = instruction_budget
         self.module = module
         self.memory = memory if memory is not None else Memory()
-        self.instruction_budget = max_steps if max_steps is not None else 50_000_000
+        self.max_steps = max_steps if max_steps is not None else 50_000_000
         self.on_execute = on_execute
         self.cost_model = cost_model
         self.executed_instructions = 0
@@ -130,7 +120,7 @@ class BatchedInterpreter:
         visits: List[int],
     ):
         blocks = plan.blocks
-        budget = self.instruction_budget
+        budget = self.max_steps
         fast_ok = plan.exact and self.on_execute is None
         faults = current_faults()
         # flattened per-block records: one tuple load per block visit
@@ -244,9 +234,9 @@ class BatchedInterpreter:
         faults = current_faults()
         if faults.armed:
             faults.fire("interp.step", stall=self._stall)
-        if self.executed_instructions > self.instruction_budget:
+        if self.executed_instructions > self.max_steps:
             raise BudgetExceededError(
-                f"step budget exhausted after {self.instruction_budget} "
+                f"step budget exhausted after {self.max_steps} "
                 "instructions (likely an infinite loop)"
             )
         if self.on_execute is not None:
@@ -258,7 +248,7 @@ class BatchedInterpreter:
     def _stall(self) -> None:
         """Injected stall: burn the remaining step budget so the watchdog
         fires deterministically (no wall-clock dependence)."""
-        self.executed_instructions = self.instruction_budget + 1
+        self.executed_instructions = self.max_steps + 1
 
     def _finalize(self, plan: FunctionPlan, visits: List[int]) -> None:
         """Fold fast-path visit counts into the cycle totals."""

@@ -14,7 +14,6 @@ duplicating the execution logic.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..ir.block import BasicBlock
@@ -100,23 +99,10 @@ class Interpreter:
         memory: Optional[Memory] = None,
         max_steps: Optional[int] = None,
         on_execute: Optional[Callable[[Instruction], None]] = None,
-        instruction_budget: Optional[int] = None,
     ) -> None:
-        if instruction_budget is not None:
-            warnings.warn(
-                "instruction_budget is deprecated; use max_steps",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if max_steps is None:
-                max_steps = instruction_budget
         self.module = module
         self.memory = memory if memory is not None else Memory()
-        #: ``max_steps`` is the single watchdog knob; the attribute keeps
-        #: its historical name for the fault-injection stall hook
-        self.instruction_budget = (
-            max_steps if max_steps is not None else 50_000_000
-        )
+        self.max_steps = max_steps if max_steps is not None else 50_000_000
         self.on_execute = on_execute
         self.executed_instructions = 0
         for buffer in module.globals.values():
@@ -205,9 +191,9 @@ class Interpreter:
         faults = current_faults()
         if faults.armed:
             faults.fire("interp.step", stall=self._stall)
-        if self.executed_instructions > self.instruction_budget:
+        if self.executed_instructions > self.max_steps:
             raise BudgetExceededError(
-                f"step budget exhausted after {self.instruction_budget} "
+                f"step budget exhausted after {self.max_steps} "
                 "instructions (likely an infinite loop)"
             )
         if self.on_execute is not None:
@@ -216,7 +202,7 @@ class Interpreter:
     def _stall(self) -> None:
         """Injected stall: burn the remaining step budget so the watchdog
         fires deterministically (no wall-clock dependence)."""
-        self.executed_instructions = self.instruction_budget + 1
+        self.executed_instructions = self.max_steps + 1
 
     # -- single instruction dispatch ---------------------------------------------------
 

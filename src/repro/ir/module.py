@@ -63,8 +63,10 @@ class Module:
     def clone(self) -> "Module":
         """Structural deep copy: fresh functions, blocks, instructions.
 
-        Replaces the printer→parser round-trip on the compile hot path
+        The compile pipeline's only copy path
         (:func:`repro.vectorizer.pipeline.clone_module`).  The clone
+        prints exactly as the original does (the tests check it against
+        a printer→parser round-trip) and
         shares no mutable IR objects with the original: constants are
         re-created (they carry use lists), blocks are constructed
         directly (bypassing ``add_block`` so label names survive

@@ -42,8 +42,9 @@ reports) — are deliberately not re-exported here: they reach into
 ``repro.vectorizer``, and importing them at package init would create a
 cycle (the vectorizer imports ``repro.observe`` for ``STAT``).
 
-``STATS`` / ``TRACER`` / ``REMARKS`` remain importable as deprecated
-aliases of the *default* session's components (see
+There are no process-wide singletons: the default session's components
+are ``DEFAULT_SESSION.stats`` / ``.tracer`` / ``.remarks``, and the
+ambient ones are reached through :func:`current_session` (see
 :mod:`repro.observe.session`).
 """
 
@@ -69,9 +70,6 @@ from .journal import (
 from .log import LOG_LEVELS, EventLog, LogEvent, load_event_log
 from .session import (
     DEFAULT_SESSION,
-    REMARKS,
-    STATS,
-    TRACER,
     CompilerSession,
     current_journal,
     current_log,
@@ -84,7 +82,6 @@ from .session import (
 )
 
 __all__ = [
-    "TRACER",
     "Tracer",
     "TraceEvent",
     "TraceContext",
@@ -96,14 +93,12 @@ __all__ = [
     "load_chrome_trace",
     "STAT",
     "STAT_CATALOG",
-    "STATS",
     "StatProxy",
     "Statistic",
     "StatsRegistry",
     "Histogram",
     "MetricsRegistry",
     "exact_percentile",
-    "REMARKS",
     "REMARK_KINDS",
     "Remark",
     "RemarkCollector",

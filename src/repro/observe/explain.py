@@ -205,7 +205,6 @@ def explain_module(
     config,
     target=None,
     unroll_factor: int = 0,
-    verify: bool = True,
     session: Optional[CompilerSession] = None,
 ) -> ExplainResult:
     """Compile ``module`` with the journal armed and build the stories.
@@ -232,7 +231,7 @@ def explain_module(
     with use_session(own):
         result = compile_module(
             module, config, target,
-            verify=verify, unroll_factor=unroll_factor,
+            unroll_factor=unroll_factor,
         )
     stories = build_stories(
         own.journal.events, own.remarks.remarks, result.report

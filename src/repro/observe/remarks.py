@@ -159,7 +159,3 @@ def load_remarks(path: str) -> List[Remark]:
             if line:
                 remarks.append(Remark.from_dict(json.loads(line)))
     return remarks
-
-
-# The deprecated process-wide ``REMARKS`` alias (the default session's
-# collector) is bound in repro.observe.session.

@@ -1,14 +1,13 @@
 """Compiler sessions: explicit, reentrant observability scopes.
 
-Historically the repro kept one process-wide :data:`STATS` registry, one
-:data:`TRACER` and one :data:`REMARKS` collector, and ``compile_module``
-called ``STATS.reset()`` on entry — so exactly one compilation could be
-in flight per process, and any two interleaved compiles corrupted each
-other's counters.  A :class:`CompilerSession` bundles the three (plus
-the fault-injection registry and the benchmark seed) into an explicit
-object that every layer threads through, which is what makes the
-parallel benchmark/fuzz drivers (:mod:`repro.bench.parallel`) and the
-compile cache (:mod:`repro.vectorizer.cache`) possible.
+A :class:`CompilerSession` bundles the counter registry, tracer and
+remark collector (plus the decision journal, metrics, event log, the
+fault-injection registry and the benchmark seed) into an explicit
+object that every layer threads through.  There are no process-wide
+singletons: two interleaved compilations never share counters, which
+is what makes the parallel benchmark/fuzz drivers
+(:mod:`repro.bench.parallel`) and the compile cache
+(:mod:`repro.vectorizer.cache`) possible.
 
 Ambient current session
 -----------------------
@@ -33,20 +32,14 @@ Deriving sessions
 ``session.derive(fresh_stats=True)`` creates a child session with a
 fresh counter registry but *shared* tracer, remark collector and fault
 registry.  ``compile_module`` runs each compilation in such a child (and
-discards it on failure), which replaces the old reset-on-entry semantics
-with true isolation: a crashing compile can no longer poison the next
+discards it on failure), so a crashing compile cannot poison the next
 compilation's counter snapshot, and concurrent compiles never observe
 each other's counters.
 
-Deprecated singleton aliases
-----------------------------
-
-``observe.STATS`` / ``observe.TRACER`` / ``observe.REMARKS`` remain
-importable as aliases for the *default* session's components so existing
-call sites and tests keep working.  They are deprecated: new code should
-accept a :class:`CompilerSession` (or call :func:`current_session`)
-instead.  This module is the only place in ``src/repro`` allowed to bind
-them.
+Code that wants the process default's components reads them off
+:data:`DEFAULT_SESSION` (``DEFAULT_SESSION.stats`` et al.); code that
+wants whatever is ambient calls :func:`current_session` or one of the
+``current_*`` accessors.
 """
 
 from __future__ import annotations
@@ -139,8 +132,7 @@ class CompilerSession:
 
 
 #: the process default: what ``current_session()`` returns when no
-#: session was installed, and what the deprecated singleton aliases
-#: (``observe.STATS`` et al.) are bound to
+#: session was installed
 DEFAULT_SESSION = CompilerSession(name="default")
 
 _CURRENT: contextvars.ContextVar[Optional[CompilerSession]] = contextvars.ContextVar(
@@ -186,15 +178,3 @@ def current_metrics() -> MetricsRegistry:
 
 def current_log() -> EventLog:
     return current_session().log
-
-
-# -- deprecated singleton aliases (the shim) ---------------------------------
-#
-# These bind the *default* session's concrete components under their
-# historical names.  ``from repro.observe import STATS`` keeps working,
-# but records only what runs in the default session; code that compiles
-# concurrently or wants isolated counters must use sessions.
-
-STATS = DEFAULT_SESSION.stats
-TRACER = DEFAULT_SESSION.tracer
-REMARKS = DEFAULT_SESSION.remarks

@@ -21,11 +21,11 @@ from .faults import (
     WORKER_SIDE_SITES,
     FAULT_MODES,
     FAULT_SITES,
-    FAULTS,
     FaultError,
     FaultInjector,
     FaultPlan,
     FaultSite,
+    current_faults,
     parse_injection,
     site_named,
 )
@@ -53,7 +53,8 @@ def __getattr__(name: str):
 
 __all__ = [
     "BISECT", "OptBisect", "BisectResult", "run_bisect",
-    "FAULTS", "FaultInjector", "FaultPlan", "FaultSite", "FaultError",
+    "FaultInjector", "FaultPlan", "FaultSite", "FaultError",
+    "current_faults",
     "FAULT_SITES", "FAULT_MODES", "COMPILE_SITES",
     "SERVICE_SITES", "WORKER_SIDE_SITES",
     "parse_injection", "site_named",

@@ -8,13 +8,16 @@ reproduce and localize it offline::
     <out>/failure-NNNN/
         original.ir     the module as handed to guarded_compile
         snapshot.ir     the pre-phase checkpoint the failing phase saw
-        reduced.ir      delta-debugged minimal reproducer (fuzz/reduce.py)
+        reduced.ir      delta-debugged minimal reproducer (fuzz/reduce.py),
+                        written only when an unguarded compile still fails
         report.json     recovery records, crash context, reduction stats
         remarks.jsonl   recovery remarks from re-compiling the reproducer
 
-Replay with ``repro bisect failure-NNNN/reduced.ir --config <cfg>`` to
-localize the first faulty vectorization decision, or ``repro compile
-failure-NNNN/original.ir --guard`` to watch the recovery fire again.
+``report.json["replay"]`` names a file the bundle holds: ``repro bisect
+reduced.ir --config <cfg>`` localizes the first faulty vectorization
+decision when the failure reproduced, else ``repro compile original.ir
+--config <cfg>`` recompiles the input.  ``repro compile
+failure-NNNN/original.ir --guard`` watches the recovery fire again.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ def write_crash_bundle(
     outcome: "GuardedResult",
     target: TargetMachine = DEFAULT_TARGET,
     unroll_factor: int = 0,
-    reduce_failure: bool = True,
 ) -> str:
     """Write a ``failure-NNNN/`` bundle for ``outcome.crash``.
 
@@ -97,17 +99,11 @@ def write_crash_bundle(
         "config_used": outcome.config_used,
         "recoveries": [record.to_dict() for record in outcome.recoveries],
         "counters": outcome.result.counters if outcome.result is not None else {},
-        "replay": (
-            f"repro bisect reduced.ir --config {crash.config}"
-            if reduce_failure
-            else f"repro compile original.ir --config {crash.config}"
-        ),
+        "replay": f"repro compile original.ir --config {crash.config}",
     }
 
     reproducer = module
-    if reduce_failure and _reproduces(
-        module, crash.config, target, unroll_factor, crash.kind
-    ):
+    if _reproduces(module, crash.config, target, unroll_factor, crash.kind):
         reduction = reduce_module(
             module,
             lambda candidate: _reproduces(
@@ -116,6 +112,7 @@ def write_crash_bundle(
         )
         reproducer = reduction.module
         write_reproducer(reproducer, os.path.join(directory, "reduced.ir"))
+        document["replay"] = f"repro bisect reduced.ir --config {crash.config}"
         document["reduction"] = {
             "instructions_before": reduction.instructions_before,
             "instructions_after": reduction.instructions_after,

@@ -1,10 +1,13 @@
 """Guarded compilation driver: fault isolation with graceful degradation.
 
 ``compile_module`` is all-or-nothing: any bug in the simplify → unroll →
-vectorize chain aborts the whole compile.  :func:`guarded_compile` wraps
-the same phases in checkpoints so the driver *always* returns runnable,
-verified IR:
+vectorize chain aborts the whole compile.  :func:`guarded_compile` runs
+``compile_module`` itself with a per-phase envelope installed
+(:func:`repro.vectorizer.pipeline.phase_envelope`), so there is one
+phase loop and the driver *always* returns runnable, verified IR:
 
+* the input is verified once on entry (it comes from outside the
+  driver; an unverifiable input raises before any rung runs);
 * every phase runs against a pre-phase snapshot (``clone_module``) under
   an optional wall-clock budget, and the IR verifier gates the result;
 * on exception, verifier failure, or budget blowout the module rolls
@@ -29,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.module import Module
 from ..ir.printer import print_module
-from ..ir.verifier import VerificationError, verify_module
+from ..ir.verifier import VerificationError
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..observe import STAT
 from ..observe.session import (
@@ -40,12 +43,8 @@ from ..observe.session import (
     current_stats,
     use_session,
 )
-from ..vectorizer.pipeline import (
-    CompilationResult,
-    _phase,
-    clone_module,
-    pipeline_phases,
-)
+from ..vectorizer import pipeline
+from ..vectorizer.pipeline import CompilationResult, PhaseFn
 from ..vectorizer.report import VectorizationReport
 from ..vectorizer.slp import SLPConfig, SNSLP_CONFIG, config_named
 
@@ -152,10 +151,6 @@ def resolve_ladder(
     return [requested] + configs
 
 
-class _AttemptFailed(Exception):
-    """Internal: this ladder rung could not produce verified IR."""
-
-
 def _classify(exc: BaseException) -> Tuple[str, str]:
     if isinstance(exc, VerificationError):
         return "verifier", str(exc)
@@ -170,15 +165,18 @@ def guarded_compile(
     ladder: Optional[Sequence[str]] = None,
     phase_budget_seconds: Optional[float] = None,
     bundle_dir: Optional[str] = None,
-    reduce_bundle: bool = True,
     session: Optional[CompilerSession] = None,
 ) -> GuardedResult:
     """Compile ``module`` under ``config``, degrading instead of dying.
 
-    Mirrors :func:`repro.vectorizer.pipeline.compile_module` (same
-    phases, timings, counters) but never raises for in-pipeline faults:
-    the returned :class:`GuardedResult` always holds verified IR, at
-    worst the pristine scalar clone of the input.
+    Each rung is one :func:`repro.vectorizer.pipeline.compile_module`
+    run (same clone, phases, timings, counters) with the guard's
+    :class:`_Envelope` around every phase, so in-pipeline faults never
+    escape: the returned :class:`GuardedResult` always holds verified IR,
+    at worst the pristine scalar clone of the input.  The input itself
+    comes from outside the driver and is verified once on entry; an
+    unverifiable input raises :class:`VerificationError` before any rung
+    runs, since no rung could repair it.
 
     Runs in ``session`` when given, else in an ephemeral fresh-stats
     child of the ambient session, so ``result.counters`` is exactly this
@@ -187,181 +185,140 @@ def guarded_compile(
     on the ambient session's injector stay armed inside: derived
     sessions share their parent's injector.
     """
+    pipeline.verify_module(module)
     own = session if session is not None else current_session().derive(
         name=f"guard:{config.name}"
     )
-    with use_session(own):
-        return _guarded_compile_in_session(
-            module,
-            config,
-            target,
-            unroll_factor,
-            ladder,
-            phase_budget_seconds,
-            bundle_dir,
-            reduce_bundle,
-        )
-
-
-def _guarded_compile_in_session(
-    module: Module,
-    config: SLPConfig,
-    target: TargetMachine,
-    unroll_factor: int,
-    ladder: Optional[Sequence[str]],
-    phase_budget_seconds: Optional[float],
-    bundle_dir: Optional[str],
-    reduce_bundle: bool,
-) -> GuardedResult:
-    _GUARDED.add()
-    guard_timer = current_metrics().timer(
-        "guard.compile.seconds", "wall seconds per guarded compilation"
-    )
-    with guard_timer:
-        return _run_guarded_ladder(
-            module, config, target, unroll_factor, ladder,
-            phase_budget_seconds, bundle_dir, reduce_bundle,
-        )
-
-
-def _run_guarded_ladder(
-    module: Module,
-    config: SLPConfig,
-    target: TargetMachine,
-    unroll_factor: int,
-    ladder: Optional[Sequence[str]],
-    phase_budget_seconds: Optional[float],
-    bundle_dir: Optional[str],
-    reduce_bundle: bool,
-) -> GuardedResult:
     outcome = GuardedResult(
         result=None,  # type: ignore[arg-type]  # filled below, always
         requested_config=config.name,
         config_used=config.name,
     )
-
-    for rung in resolve_ladder(config, ladder):
-        attempt = _attempt_config(
-            module, rung, target, unroll_factor, phase_budget_seconds, outcome
-        )
-        if attempt is not None:
-            outcome.result = attempt
+    with use_session(own), own.metrics.timer(
+        "guard.compile.seconds", "wall seconds per guarded compilation"
+    ):
+        _GUARDED.add()
+        for rung in resolve_ladder(config, ladder):
+            envelope = _Envelope(outcome, rung, phase_budget_seconds)
+            try:
+                with pipeline.phase_envelope(envelope):
+                    outcome.result = pipeline.compile_module(
+                        module, rung, target, unroll_factor, session=own
+                    )
+            except _Descend:
+                continue
+            except Exception as exc:  # noqa: BLE001 - even the clone is guarded
+                # Only the clone runs outside the envelope (the final
+                # verify sees a state some envelope already verified).
+                kind, detail = _classify(exc)
+                _record_failure(
+                    outcome, rung, "clone", kind, detail, 0.0, "descend-ladder"
+                )
+                continue
             outcome.config_used = rung.name
             break
-    else:
-        # Every rung failed: serve the pristine clone.  It verified on
-        # the way in (clone is a parse/verify round-trip by construction
-        # of the textual format), so this cannot fail.
-        phases: Dict[str, float] = {}
-        with _phase("clone", phases):
-            working = clone_module(module)
-        with _phase("verify", phases):
-            verify_module(working)
-        _PRISTINE.add()
-        _record(
-            outcome,
-            RecoveryRecord(
-                phase="pipeline",
-                config=config.name,
-                kind="exception",
-                action="pristine-fallback",
-                detail="degradation ladder exhausted; returning input clone",
-            ),
-        )
-        outcome.result = CompilationResult(
-            module=working,
-            report=VectorizationReport(config_name="pristine"),
-            compile_seconds=sum(phases.values()),
-            phase_seconds=phases,
-            counters=current_stats().snapshot(),
-        )
-        outcome.config_used = "pristine"
+        else:
+            outcome.result = _pristine(module, config, outcome)
+            outcome.config_used = "pristine"
 
-    if bundle_dir is not None and outcome.crash is not None:
-        from .bundle import write_crash_bundle
+        if bundle_dir is not None and outcome.crash is not None:
+            from .bundle import write_crash_bundle
 
-        outcome.bundle_dir = write_crash_bundle(
-            bundle_dir,
-            module,
-            outcome,
-            target=target,
-            unroll_factor=unroll_factor,
-            reduce_failure=reduce_bundle,
-        )
+            outcome.bundle_dir = write_crash_bundle(
+                bundle_dir,
+                module,
+                outcome,
+                target=target,
+                unroll_factor=unroll_factor,
+            )
     return outcome
 
 
-def _attempt_config(
-    module: Module,
-    config: SLPConfig,
-    target: TargetMachine,
-    unroll_factor: int,
-    budget: Optional[float],
-    outcome: GuardedResult,
-) -> Optional[CompilationResult]:
-    """One checkpointed pass over the pipeline under ``config``.
+class _Descend(Exception):
+    """Internal: the vectorize phase failed; try the next ladder rung."""
 
-    Returns the result, or None when the vectorize phase failed and the
-    caller should descend the ladder.
+
+@dataclass
+class _Envelope:
+    """The guard's per-phase policy for one rung, run by
+    :func:`~repro.vectorizer.pipeline.compile_module` around each phase.
+
+    The phase runs against a pre-phase snapshot under the optional wall
+    budget, and the IR verifier gates what it commits.  On exception,
+    verifier failure or budget blowout the module rolls back to the
+    snapshot and a :class:`RecoveryRecord` is kept; a mid-end phase is
+    then skipped, while a vectorize failure abandons the rung.
     """
-    phases: Dict[str, float] = {}
-    report: Optional[VectorizationReport] = None
-    try:
-        with _phase("clone", phases):
-            working = clone_module(module)
-    except Exception as exc:  # noqa: BLE001 - even the clone is guarded
-        kind, detail = _classify(exc)
-        _record_failure(outcome, config, "clone", kind, detail, 0.0, "descend-ladder")
-        return None
 
-    for name, fn in pipeline_phases(config, target, unroll_factor):
-        snapshot = clone_module(working)
+    outcome: GuardedResult
+    config: SLPConfig
+    budget: Optional[float]
+
+    def __call__(
+        self, name: str, fn: PhaseFn, working: Module
+    ) -> Tuple[Module, Optional[VectorizationReport]]:
+        snapshot = pipeline.clone_module(working)
         started = time.perf_counter()
-        failure: Optional[Tuple[str, str]] = None
         try:
-            with _phase(name, phases):
-                out = fn(working)
+            out = fn(working)
             elapsed = time.perf_counter() - started
-            if budget is not None and elapsed > budget:
-                failure = (
+            if self.budget is not None and elapsed > self.budget:
+                kind, detail = (
                     "budget",
-                    f"phase ran {elapsed:.3f}s, budget {budget:g}s",
+                    f"phase ran {elapsed:.3f}s, budget {self.budget:g}s",
                 )
             else:
                 # the verify gate: a phase may only commit verified IR
-                verify_module(working)
-                if name == "vectorize":
-                    report = out
+                pipeline.verify_module(working)
+                return working, out
         except Exception as exc:  # noqa: BLE001 - isolate any phase fault
-            failure = _classify(exc)
-        if failure is None:
-            continue
+            kind, detail = _classify(exc)
 
-        kind, detail = failure
         seconds = time.perf_counter() - started
-        if kind != "budget" and outcome.crash is None:
-            outcome.crash = CrashCapture(
-                config=config.name,
+        if kind != "budget" and self.outcome.crash is None:
+            self.outcome.crash = CrashCapture(
+                config=self.config.name,
                 phase=name,
                 kind=kind,
                 detail=detail,
                 snapshot_text=print_module(snapshot),
             )
-        working = snapshot  # roll back to the pre-phase checkpoint
-        if name == "vectorize":
-            _record_failure(
-                outcome, config, name, kind, detail, seconds, "descend-ladder"
-            )
-            return None
-        _record_failure(outcome, config, name, kind, detail, seconds, "skip-phase")
+        descend = name == "vectorize"
+        _record_failure(
+            self.outcome, self.config, name, kind, detail, seconds,
+            "descend-ladder" if descend else "skip-phase",
+        )
+        if descend:
+            raise _Descend()
+        return snapshot, None  # roll back to the pre-phase checkpoint
 
-    with _phase("verify", phases):
-        verify_module(working)  # cannot fail: `working` is a verified state
-    if report is None:
-        report = VectorizationReport(config_name=config.name)
+
+def _pristine(
+    module: Module, config: SLPConfig, outcome: GuardedResult
+) -> CompilationResult:
+    """Every rung failed: serve a clone of the input, scalar and
+    unoptimized but runnable."""
+    started = time.perf_counter()
+    working = pipeline.clone_module(module)
+    cloned = time.perf_counter()
+    # Cannot fail: the input verified on entry and the clone is a
+    # structural copy of it.
+    pipeline.verify_module(working)
+    phases = {"clone": cloned - started, "verify": time.perf_counter() - cloned}
+    _PRISTINE.add()
+    _record(
+        outcome,
+        RecoveryRecord(
+            phase="pipeline",
+            config=config.name,
+            kind="exception",
+            action="pristine-fallback",
+            detail="degradation ladder exhausted; returning input clone",
+        ),
+    )
     return CompilationResult(
         module=working,
-        report=report,
+        report=VectorizationReport(config_name="pristine"),
         compile_seconds=sum(phases.values()),
         phase_seconds=phases,
         counters=current_stats().snapshot(),

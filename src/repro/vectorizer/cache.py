@@ -495,7 +495,6 @@ def cached_compile_module(
     module: Module,
     config: SLPConfig,
     target: TargetMachine = DEFAULT_TARGET,
-    verify: bool = True,
     unroll_factor: int = 0,
     session: Optional[CompilerSession] = None,
     cache: Optional[CompileCache] = None,
@@ -517,7 +516,7 @@ def cached_compile_module(
     if cache is None:
         return compile_module(
             module, config, target,
-            verify=verify, unroll_factor=unroll_factor, session=session,
+            unroll_factor=unroll_factor, session=session,
         )
     target_session = session if session is not None else current_session()
     key = cache_key(module, config, target, unroll_factor)
@@ -558,7 +557,7 @@ def cached_compile_module(
     _gauge_hit_rate(target_session)
     result = compile_module(
         module, config, target,
-        verify=verify, unroll_factor=unroll_factor, session=session,
+        unroll_factor=unroll_factor, session=session,
     )
     with use_session(target_session):  # eviction stats, as for lookup
         cache.store(key, result)

@@ -2,9 +2,12 @@
 
 The benchmark harness compiles *the same kernel* under each configuration;
 since the vectorizer mutates IR in place, the pipeline deep-clones the
-module first (structurally, via :meth:`repro.ir.module.Module.clone`; the
-printer/parser round-trip survives behind ``via_text=True`` as an
-integrity check on both components).
+module first (structurally, via :meth:`repro.ir.module.Module.clone`).
+
+:func:`compile_module` holds the only loop over :func:`pipeline_phases`.
+The guarded driver (:mod:`repro.robust.guard`) reuses it by installing a
+per-phase envelope (snapshot, phase budget, verify gate, rollback) with
+:func:`phase_envelope`; outside such a scope each phase runs bare.
 
 Observability: every phase runs inside a tracer span (`repro.observe`),
 its wall time lands in ``CompilationResult.phase_seconds``, and counters
@@ -16,14 +19,13 @@ other and no global reset is needed.
 
 from __future__ import annotations
 
+import contextvars
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..ir.module import Module
-from ..ir.parser import parse_module
-from ..ir.printer import print_module
 from ..ir.verifier import verify_module
 from ..machine.targets import DEFAULT_TARGET, TargetMachine
 from ..observe.session import (
@@ -40,17 +42,9 @@ from .slp import SLPConfig, SLPVectorizer
 PIPELINE_PHASES = ("clone", "simplify", "unroll", "vectorize", "verify")
 
 
-def clone_module(module: Module, via_text: bool = False) -> Module:
-    """Structural deep copy of ``module``.
-
-    The default path is :meth:`Module.clone` — a direct object-graph copy
-    with no printing or reparsing on the compile hot path.  ``via_text=
-    True`` selects the legacy printer→parser round-trip, kept because it
-    doubles as an integrity check of the printer and parser against each
-    other (the pipeline test suite exercises it).
-    """
-    if via_text:
-        return parse_module(print_module(module))
+def clone_module(module: Module) -> Module:
+    """Structural deep copy of ``module`` (:meth:`Module.clone`): a direct
+    object-graph copy with no printing or reparsing on the compile path."""
     return module.clone()
 
 
@@ -98,10 +92,8 @@ def pipeline_phases(
 ) -> List[Tuple[str, PhaseFn]]:
     """The transform phases after clone, as (name, fn) pairs.
 
-    This is the single definition of the pipeline's shape, shared by
-    :func:`compile_module` and the guarded driver
-    (:mod:`repro.robust.guard`), which wraps each phase in a
-    checkpoint/rollback envelope.
+    This is the single definition of the pipeline's shape; the only
+    loop over it is :func:`compile_module`'s.
     """
     from ..passes import simplify_module, unroll_module
 
@@ -122,11 +114,39 @@ def pipeline_phases(
     return phases
 
 
+#: runs one transform phase on the working module and returns the module
+#: to continue with plus the phase's output (see :func:`phase_envelope`)
+PhaseEnvelope = Callable[
+    [str, PhaseFn, Module], Tuple[Module, Optional[VectorizationReport]]
+]
+
+_ENVELOPE: contextvars.ContextVar[Optional[PhaseEnvelope]] = (
+    contextvars.ContextVar("repro_phase_envelope", default=None)
+)
+
+
+@contextmanager
+def phase_envelope(envelope: PhaseEnvelope) -> Iterator[None]:
+    """Run each transform phase of the compiles in this scope through
+    ``envelope`` instead of calling it bare.
+
+    The guarded driver installs its checkpoint/rollback policy here, so
+    it shares :func:`compile_module`'s clone, phase loop, timing and
+    final verify instead of repeating them.  The envelope may return a
+    rolled-back module (skipping the phase) or raise to abandon the
+    compile.  Scoped per thread/context like :func:`use_session`.
+    """
+    token = _ENVELOPE.set(envelope)
+    try:
+        yield
+    finally:
+        _ENVELOPE.reset(token)
+
+
 def compile_module(
     module: Module,
     config: SLPConfig,
     target: TargetMachine = DEFAULT_TARGET,
-    verify: bool = True,
     unroll_factor: int = 0,
     session: Optional[CompilerSession] = None,
 ) -> CompilationResult:
@@ -137,7 +157,7 @@ def compile_module(
     mirroring how the paper's configurations share the whole -O3 mid-end.
     ``unroll_factor`` > 1 unrolls canonical counted loops first, exposing
     straight-line lanes to SLP for sources written one element per
-    iteration.
+    iteration.  The result is verified once, after the last phase.
 
     Counter isolation: with ``session=None`` the compile runs in an
     ephemeral child of the ambient session (fresh statistic registry,
@@ -157,6 +177,7 @@ def compile_module(
     own = session if session is not None else current_session().derive(
         name=f"compile:{config.name}"
     )
+    envelope = _ENVELOPE.get()
     phases: Dict[str, float] = {}
     report: Optional[VectorizationReport] = None
     with use_session(own):
@@ -167,12 +188,14 @@ def compile_module(
                 working = clone_module(module)
             for name, fn in pipeline_phases(config, target, unroll_factor):
                 with _phase(name, phases):
-                    out = fn(working)
+                    if envelope is None:
+                        out = fn(working)
+                    else:
+                        working, out = envelope(name, fn, working)
                 if name == "vectorize":
                     report = out
-            if verify:
-                with _phase("verify", phases):
-                    verify_module(working)
+            with _phase("verify", phases):
+                verify_module(working)
     assert report is not None  # pipeline_phases always yields vectorize
     own.metrics.observe(
         "compile.seconds", sum(phases.values()),

@@ -127,8 +127,8 @@ class VectorizationReport:
     def to_remarks(self):
         """Re-derive structured remarks from the recorded graphs.
 
-        Unlike the live :data:`repro.observe.REMARKS` stream (which must be
-        enabled before compilation), this works after the fact from the
+        Unlike the live session remark stream (which must be enabled
+        before compilation), this works after the fact from the
         report alone: one passed/missed remark per graph plus one analysis
         remark per gather reason.
         """

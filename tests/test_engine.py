@@ -113,14 +113,6 @@ class TestEngineSelection:
             else:
                 os.environ["REPRO_ENGINE"] = before
 
-    def test_batched_budget_alias_warns(self):
-        module = _loop_module()
-        with pytest.warns(DeprecationWarning, match="max_steps"):
-            interp = BatchedInterpreter(module, instruction_budget=50)
-        assert interp.instruction_budget == 50
-        with pytest.raises(BudgetExceededError):
-            interp.run("count", [10**9])
-
 
 class TestIdentityMatrix:
     @pytest.mark.parametrize(

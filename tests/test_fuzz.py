@@ -275,13 +275,13 @@ class TestCampaign:
     def test_campaign_uses_private_session(self):
         # each compilation runs in its own derived session; campaign
         # bucket counters live in the campaign's session, and neither
-        # leaks into the default (global alias) registry
-        from repro.observe import STATS
+        # leaks into the default session's registry
+        from repro.observe import DEFAULT_SESSION
 
         result = run_campaign(budget="5", seed=0)
         assert result.stats["fuzz.programs-generated"] == 5
-        assert "fuzz.programs-generated" not in STATS.snapshot()
-        assert "slp.seed-bundles" not in STATS.snapshot()
+        assert "fuzz.programs-generated" not in DEFAULT_SESSION.stats.snapshot()
+        assert "slp.seed-bundles" not in DEFAULT_SESSION.stats.snapshot()
 
     def test_failure_artifacts_written(self, monkeypatch, tmp_path):
         _flip_addsub_codegen(monkeypatch)

@@ -208,14 +208,6 @@ class TestControlFlow:
         with pytest.raises(InterpreterError, match="budget"):
             interp.run("count", [10**9])
 
-    def test_instruction_budget_alias_warns(self):
-        module = build_loop_module()
-        with pytest.warns(DeprecationWarning, match="max_steps"):
-            interp = Interpreter(module, instruction_budget=50)
-        assert interp.instruction_budget == 50
-        with pytest.raises(InterpreterError, match="budget"):
-            interp.run("count", [10**9])
-
     def test_entry_phi_rejected(self):
         module = Module("m")
         function = Function("f", [], VOID)

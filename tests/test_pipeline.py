@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir import Opcode, print_module, verify_module
+from repro.ir import Opcode, parse_module, print_module, verify_module
 from repro.kernels import kernel_named
 from repro.machine import DEFAULT_TARGET
 from repro.vectorizer import (
@@ -29,13 +29,31 @@ class TestCloneModule:
         assert original_ids.isdisjoint(clone_ids)
 
     def test_text_round_trip_clone_agrees_with_structural(self):
-        # via_text exercises the printer and parser against each other;
+        # the printer -> parser round trip checks both against each other;
         # the structural clone must produce the same module
         module = kernel_named("motiv-trunk-reorder").build()
-        via_text = clone_module(module, via_text=True)
-        verify_module(via_text)
-        assert print_module(via_text) == print_module(module)
-        assert print_module(via_text) == print_module(clone_module(module))
+        round_tripped = parse_module(print_module(module))
+        verify_module(round_tripped)
+        assert print_module(round_tripped) == print_module(module)
+        assert print_module(round_tripped) == print_module(clone_module(module))
+
+
+class TestSingleDriver:
+    def test_plain_compile_clones_and_verifies_once(self, monkeypatch):
+        # the driver looks these seams up at call time, so counting
+        # wrappers see every clone and verify a plain compile makes
+        import repro.vectorizer.pipeline as pipeline
+
+        calls = {"clone_module": 0, "verify_module": 0}
+        for name in calls:
+            def counting(*args, _name=name, _inner=getattr(pipeline, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(pipeline, name, counting)
+        module = kernel_named("motiv-trunk-reorder").build()
+        compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET)
+        assert calls == {"clone_module": 1, "verify_module": 1}
 
 
 class TestCompileModule:
@@ -52,7 +70,7 @@ class TestCompileModule:
 
     def test_result_module_verifies(self):
         module = kernel_named("milc-su3-cmul").build()
-        result = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET, verify=False)
+        result = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET)
         verify_module(result.module)
 
     def test_simplify_always_runs(self):

@@ -163,7 +163,7 @@ def test_vectorized_ir_always_verifies(seed):
     from repro.vectorizer import SNSLP_CONFIG
 
     module = _random_kernel(seed, 4, float_mode=False)
-    compiled = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET, verify=False)
+    compiled = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET)
     verify_module(compiled.module)
 
 

@@ -20,15 +20,16 @@ from repro.interp import (
     Interpreter,
     InterpreterError,
 )
-from repro.ir import FloatType
+from repro.ir import FloatType, VerificationError, print_module
+from repro.kernels import all_kernels, kernel_named
 from repro.machine import DEFAULT_TARGET
-from repro.observe import REMARKS, STATS
+from repro.observe import DEFAULT_SESSION, CompilerSession
 from repro.robust import (
     BISECT,
     COMPILE_SITES,
     FAULT_SITES,
-    FAULTS,
     FaultError,
+    current_faults,
     guarded_compile,
     parse_injection,
     resolve_ladder,
@@ -36,7 +37,7 @@ from repro.robust import (
     site_named,
 )
 from repro.sim import simulate
-from repro.vectorizer import compile_module, config_named
+from repro.vectorizer import ALL_CONFIGS, compile_module, config_named
 
 FIG3 = """
 long A[1024]; long B[1024]; long C[1024]; long D[1024];
@@ -60,13 +61,13 @@ COMPILE_COMBOS = [
 
 @pytest.fixture(autouse=True)
 def _clean_robust_state():
-    FAULTS.disarm_all()
+    current_faults().disarm_all()
     BISECT.disable()
     yield
-    FAULTS.disarm_all()
+    current_faults().disarm_all()
     BISECT.disable()
-    REMARKS.clear()
-    REMARKS.disable()
+    DEFAULT_SESSION.remarks.clear()
+    DEFAULT_SESSION.remarks.disable()
 
 
 def fig3_module():
@@ -112,23 +113,23 @@ class TestFaultRegistry:
 
     def test_arm_rejects_unsupported_mode(self):
         with pytest.raises(ValueError):
-            FAULTS.arm("codegen.emit", "stall")
+            current_faults().arm("codegen.emit", "stall")
 
     def test_fire_is_noop_when_disarmed(self):
-        FAULTS.fire("codegen.emit")  # must not raise
+        current_faults().fire("codegen.emit")  # must not raise
 
     def test_skip_lets_early_hits_pass(self):
-        plan = FAULTS.arm("codegen.emit", "raise", skip=1)
-        FAULTS.fire("codegen.emit")  # hit 1: skipped
+        plan = current_faults().arm("codegen.emit", "raise", skip=1)
+        current_faults().fire("codegen.emit")  # hit 1: skipped
         with pytest.raises(FaultError):
-            FAULTS.fire("codegen.emit")  # hit 2: fires
+            current_faults().fire("codegen.emit")  # hit 2: fires
         assert (plan.hits, plan.fired) == (2, 1)
 
     def test_once_fires_exactly_once(self):
-        plan = FAULTS.arm("codegen.emit", "raise", once=True)
+        plan = current_faults().arm("codegen.emit", "raise", once=True)
         with pytest.raises(FaultError):
-            FAULTS.fire("codegen.emit")
-        FAULTS.fire("codegen.emit")  # second hit passes
+            current_faults().fire("codegen.emit")
+        current_faults().fire("codegen.emit")  # second hit passes
         assert (plan.hits, plan.fired) == (2, 1)
 
     def test_every_site_declares_supported_modes(self):
@@ -165,20 +166,20 @@ class TestStatsResetOnException:
 
     def test_counters_reset_when_compile_raises(self):
         module = fig3_module()
-        before = STATS.snapshot()
-        FAULTS.arm("codegen.emit", "raise")
+        before = DEFAULT_SESSION.stats.snapshot()
+        current_faults().arm("codegen.emit", "raise")
         with pytest.raises(FaultError):
             compile_module(module, SNSLP, DEFAULT_TARGET)
         # the crashing compile's ephemeral session is discarded with its
         # partial counters; the ambient registry is untouched
-        assert STATS.snapshot() == before, "stale counters survived the crash"
+        assert DEFAULT_SESSION.stats.snapshot() == before, "stale counters survived the crash"
 
     def test_clean_compile_after_crash_reports_fresh_counters(self):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        current_faults().arm("codegen.emit", "raise")
         with pytest.raises(FaultError):
             compile_module(module, SNSLP, DEFAULT_TARGET)
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
         result = compile_module(fig3_module(), SNSLP, DEFAULT_TARGET)
         assert result.counters  # the clean compile's own counters
 
@@ -190,19 +191,19 @@ class TestGuardedRecovery:
     def test_injected_fault_cannot_escape(self, site, mode):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        plan = FAULTS.arm(site, mode)
-        REMARKS.clear()
-        REMARKS.enable()
+        plan = current_faults().arm(site, mode)
+        DEFAULT_SESSION.remarks.clear()
+        DEFAULT_SESSION.remarks.enable()
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.1
         )
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
 
         # fig3 exercises the full SN-SLP pipeline, so every site is hit
         assert plan.fired > 0, f"{site}:{mode} never reached"
         assert outcome.recoveries, "fault fired but no recovery was recorded"
         # each rollback emitted a structured recovery remark ...
-        recovery_remarks = REMARKS.of_kind("recovery")
+        recovery_remarks = DEFAULT_SESSION.remarks.of_kind("recovery")
         assert len(recovery_remarks) == len(outcome.recoveries)
         assert all(r.pass_name == "guard" for r in recovery_remarks)
         # ... and bumped the guarded compile's own counters
@@ -225,6 +226,39 @@ class TestGuardedRecovery:
             outcome.result.module, module, inputs, reference
         )
 
+    def test_unverifiable_input_raises_before_any_rung(self):
+        module = kernel_named("motiv-trunk-reorder").build()
+        module.function("kernel").entry.terminator.erase_from_parent()
+        session = CompilerSession(name="bad-input")
+        session.remarks.enable()
+        with pytest.raises(VerificationError):
+            guarded_compile(module, SNSLP, DEFAULT_TARGET, session=session)
+        assert not [
+            name for name in session.stats.snapshot()
+            if name.startswith("robust.")
+        ]
+        assert session.remarks.of_kind("recovery") == []
+
+
+class TestOneDriver:
+    """A clean guarded compile is compile_module plus robust.* counters."""
+
+    @pytest.mark.parametrize("kernel", all_kernels(), ids=lambda k: k.name)
+    def test_clean_guarded_compile_matches_compile_module(self, kernel):
+        for config in ALL_CONFIGS:
+            plain = compile_module(kernel.build(), config, DEFAULT_TARGET)
+            guarded = guarded_compile(
+                kernel.build(), config, DEFAULT_TARGET, ladder=[config.name]
+            )
+            assert guarded.config_used == config.name
+            result = guarded.result
+            assert print_module(result.module) == print_module(plain.module)
+            assert result.phase_seconds.keys() == plain.phase_seconds.keys()
+            assert {
+                name: value for name, value in result.counters.items()
+                if not name.startswith("robust.")
+            } == plain.counters, config.name
+
 
 class TestDegradationLadder:
     def test_resolve_ladder_starts_at_requested(self):
@@ -240,9 +274,9 @@ class TestDegradationLadder:
     def test_vectorize_crash_descends_ladder(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("codegen.emit", "raise")
+        current_faults().arm("codegen.emit", "raise")
         outcome = guarded_compile(module, SNSLP, DEFAULT_TARGET)
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
         assert outcome.degraded
         assert outcome.config_used != "SN-SLP"
         assert any(r.action == "descend-ladder" for r in outcome.recoveries)
@@ -253,9 +287,9 @@ class TestDegradationLadder:
     def test_corruption_is_caught_by_verify_gate(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("codegen.emit", "corrupt")
+        current_faults().arm("codegen.emit", "corrupt")
         outcome = guarded_compile(module, SNSLP, DEFAULT_TARGET)
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
         assert any(r.kind == "verifier" for r in outcome.recoveries)
         assert outcome.crash is not None
         assert outcome.crash.kind == "verifier"
@@ -266,11 +300,11 @@ class TestDegradationLadder:
     def test_single_rung_ladder_falls_back_to_pristine(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("codegen.emit", "raise")
+        current_faults().arm("codegen.emit", "raise")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, ladder=["SN-SLP"]
         )
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
         assert outcome.config_used == "pristine"
         assert any(
             r.action == "pristine-fallback" for r in outcome.recoveries
@@ -285,11 +319,11 @@ class TestPhaseBudget:
     def test_stalled_phase_is_skipped_within_budget(self):
         module = fig3_module()
         inputs, reference = scalar_reference(module)
-        FAULTS.arm("simplify.module", "stall")  # sleeps 0.25s per fire
+        current_faults().arm("simplify.module", "stall")  # sleeps 0.25s per fire
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.05
         )
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
         budget_recoveries = [r for r in outcome.recoveries if r.kind == "budget"]
         assert budget_recoveries
         assert all(r.phase == "simplify" for r in budget_recoveries)
@@ -302,18 +336,18 @@ class TestPhaseBudget:
 
     def test_budget_blowout_is_not_a_crash_capture(self):
         module = fig3_module()
-        FAULTS.arm("simplify.module", "stall")
+        current_faults().arm("simplify.module", "stall")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, phase_budget_seconds=0.05
         )
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
         assert outcome.crash is None  # timing failures are not bundled
 
 
 class TestCrashBundle:
     def test_injected_crash_produces_reduced_bundle(self, tmp_path):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        current_faults().arm("codegen.emit", "raise")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, bundle_dir=str(tmp_path)
         )
@@ -339,7 +373,7 @@ class TestCrashBundle:
 
     def test_bundle_replays_through_repro_bisect(self, tmp_path, capsys):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        current_faults().arm("codegen.emit", "raise")
         outcome = guarded_compile(
             module, SNSLP, DEFAULT_TARGET, bundle_dir=str(tmp_path)
         )
@@ -351,11 +385,27 @@ class TestCrashBundle:
         assert "first faulty decision" in out
         assert "crash" in out
 
+    def test_replay_names_a_file_the_bundle_holds(self, tmp_path):
+        # a once-only fault does not fire again in the unguarded
+        # re-compile, so no reduced.ir is written and the replay must
+        # fall back to a file the bundle does hold
+        current_faults().arm("codegen.emit", "raise", once=True)
+        outcome = guarded_compile(
+            kernel_named("motiv-trunk-reorder").build(), SNSLP,
+            DEFAULT_TARGET, bundle_dir=str(tmp_path),
+        )
+        assert not os.path.exists(
+            os.path.join(outcome.bundle_dir, "reduced.ir")
+        )
+        with open(os.path.join(outcome.bundle_dir, "report.json")) as handle:
+            replay = json.load(handle)["replay"].split()
+        assert os.path.exists(os.path.join(outcome.bundle_dir, replay[2]))
+
 
 class TestBisect:
     def test_localizes_crashing_decision(self):
         module = fig3_module()
-        FAULTS.arm("codegen.emit", "raise")
+        current_faults().arm("codegen.emit", "raise")
         result = run_bisect(module, SNSLP, DEFAULT_TARGET, args=(64,))
         assert result.status == "crash"
         assert result.first_bad == 1
@@ -364,7 +414,7 @@ class TestBisect:
 
     def test_pre_vectorizer_fault_reports_bad_at_zero(self):
         module = fig3_module()
-        FAULTS.arm("simplify.module", "raise")
+        current_faults().arm("simplify.module", "raise")
         result = run_bisect(module, SNSLP, DEFAULT_TARGET, args=(64,))
         assert result.bad_at_zero
         assert result.first_bad is None
@@ -382,9 +432,9 @@ class TestFuzzIntegration:
         from repro.fuzz import generate_program, random_spec, run_oracle
 
         program = generate_program(random_spec(3))
-        FAULTS.arm("interp.step", "stall")  # burns the reference's budget
+        current_faults().arm("interp.step", "stall")  # burns the reference's budget
         report = run_oracle(program)
-        FAULTS.disarm_all()
+        current_faults().disarm_all()
         assert report.reference_trapped
         assert report.outcomes[0].status == "budget"
 

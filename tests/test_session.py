@@ -9,10 +9,11 @@ cold compile on every deterministic field.
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.bench import run_kernel_matrix, run_kernel_matrix_parallel, run_suite_parallel
-from repro.ir import print_module
+from repro.ir import parse_module, print_module
 from repro.kernels import kernel_named
-from repro.observe import STAT, STATS
+from repro.observe import STAT
 from repro.observe.session import (
+    DEFAULT_SESSION,
     CompilerSession,
     current_session,
     current_stats,
@@ -56,7 +57,7 @@ class TestSessionBasics:
             assert handle.value == 5
         assert a.stats.value("test.session.scratch") == 2
         assert b.stats.value("test.session.scratch") == 5
-        assert "test.session.scratch" not in STATS.snapshot()
+        assert "test.session.scratch" not in DEFAULT_SESSION.stats.snapshot()
 
 
 class TestReentrantCompilation:
@@ -71,7 +72,7 @@ class TestReentrantCompilation:
         expect_b = compile_module(module_b, SNSLP_CONFIG).counters
         assert expect_a != expect_b  # distinct kernels -> distinct profiles
 
-        global_before = STATS.snapshot()
+        global_before = DEFAULT_SESSION.stats.snapshot()
         with ThreadPoolExecutor(max_workers=2) as pool:
             for _ in range(4):  # repeat to actually interleave phases
                 fut_a = pool.submit(compile_module, module_a, SNSLP_CONFIG)
@@ -79,7 +80,7 @@ class TestReentrantCompilation:
                 assert fut_a.result().counters == expect_a
                 assert fut_b.result().counters == expect_b
         # nothing leaked into the process-default registry either
-        assert STATS.snapshot() == global_before
+        assert DEFAULT_SESSION.stats.snapshot() == global_before
 
     def test_explicit_session_accumulates_across_compiles(self):
         module = kernel_named("motiv-leaf-reorder").build()
@@ -194,5 +195,5 @@ class TestStructuralClone:
         for name in MOTIVATING + ("sphinx-dot-product", "milc-su3-cmul"):
             module = kernel_named(name).build()
             assert print_module(clone_module(module)) == print_module(
-                clone_module(module, via_text=True)
+                parse_module(print_module(module))
             ), name

@@ -89,7 +89,7 @@ class TestUndo:
 
     def test_restored_ir_verifies(self):
         module = _unprofitable_chain_module()
-        compiled = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET, verify=False)
+        compiled = compile_module(module, SNSLP_CONFIG, DEFAULT_TARGET)
         verify_module(compiled.module)
 
     def test_profitable_graph_not_undone(self):

@@ -25,11 +25,10 @@ Workers receive *names*, not objects: kernels, programs, configs and
 targets are all resolvable from registries
 (:func:`~repro.kernels.suite.kernel_named` & co.), which keeps the
 pickled payloads tiny and sidesteps the fact that kernel builders are
-closures.  Every worker builds a fresh root session; when the parent's
-tracer or remark collector is armed, workers arm their own and the
-collected spans/remarks are merged back into the parent session in
-payload order, tagged with the worker's OS pid (one process track per
-worker in the Chrome trace).
+closures.  Payloads carry no observability flags: every pair runs under
+:func:`~repro.observe.session.task_session` with the parent session's
+channels, and its record is absorbed into the parent — by the service
+on the pooled path, right here on the serial path.
 """
 
 from __future__ import annotations
@@ -41,22 +40,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..kernels.suite import Kernel, all_kernels, kernel_named
 from ..machine.targets import DEFAULT_TARGET, TargetMachine, target_named
 from ..observe import STAT
-from ..observe.session import CompilerSession, current_session, use_session
+from ..observe.session import (
+    CompilerSession,
+    current_session,
+    task_session,
+    use_session,
+)
 from ..vectorizer.slp import ALL_CONFIGS, O3_CONFIG, SLPConfig, config_named
 from .runner import DEFAULT_SEED, KernelRun, outputs_match, run_kernel_config
 
-#: (kernel_name, config_name, target_name, seed, capture_trace,
-#: capture_remarks, journal, capture_metrics) — everything a worker
-#: needs.  The four booleans mirror the parent session's observability
-#: configuration so workers collect the same streams the caller armed.
-PairPayload = Tuple[str, str, str, int, bool, bool, bool, bool]
-
-#: what a worker sends back alongside its KernelRun: always
-#: {"pid", "worker_seconds"} (the in-worker wall clock that overhead
-#: attribution subtracts from the parent-observed task wall clock), plus
-#: "events" / "remarks" / "metrics" when the parent armed those streams —
-#: TraceEvent, Remark and MetricsRegistry all pickle as-is
-WorkerCapture = Dict[str, object]
+#: (kernel_name, config_name, target_name, seed, journal) — everything
+#: a worker needs
+PairPayload = Tuple[str, str, str, int, bool]
 
 # Parallel-driver overhead counters.  These record into the *parent*
 # session only (workers never see them), so serial/parallel KernelRun
@@ -81,79 +76,22 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return default_jobs() if jobs is None else max(1, jobs)
 
 
-def _run_pair(payload: PairPayload) -> Tuple[KernelRun, WorkerCapture]:
-    """Worker: run one (kernel, config) pair in its own root session.
+def _run_pair(payload: PairPayload) -> KernelRun:
+    """Worker: run one (kernel, config) pair in the ambient session.
 
-    When the parent armed its tracer, remark collector or metrics
-    registry, the worker arms its own and ships the collected streams
-    back for merging (:func:`_merge_capture`).  The capture always
-    carries ``worker_seconds`` — the wall clock spent *inside* the
-    worker — so the parent can attribute spawn/marshal/queue overhead
-    as (observed task wall) - (in-worker wall).
+    Called inside a per-task session, the pair's compile and simulate
+    record into a child of it, so its spans, remarks and histograms
+    reach the task's telemetry record while its counters stay in the
+    run's own snapshot.
     """
-    (
-        kernel_name, config_name, target_name, seed,
-        trace, remarks, journal, metrics,
-    ) = payload
-    kernel = kernel_named(kernel_name)
-    session = CompilerSession(name=f"bench-worker:{kernel_name}/{config_name}")
-    if trace:
-        session.tracer.enable()
-    if remarks:
-        session.remarks.enable()
-    if metrics:
-        session.metrics.enable()
-    start = time.perf_counter()
-    # Inside a traced service task, the worker loop installed the
-    # request's ambient context; binding this fresh session's tracer to
-    # it parents the pair's compile/phase spans under the request's
-    # ``worker:task`` span instead of leaving them unlinked.
-    from ..observe.context import current_trace_context
-
-    with use_session(session):
-        with session.tracer.bind(current_trace_context()):
-            run = run_kernel_config(
-                kernel,
-                config_named(config_name),
-                target_named(target_name),
-                seed,
-                session=session.derive(),
-                journal=journal,
-            )
-    capture: WorkerCapture = {
-        "pid": os.getpid(),
-        "worker_seconds": time.perf_counter() - start,
-    }
-    if trace:
-        capture["events"] = list(session.tracer.events)
-    if remarks:
-        capture["remarks"] = list(session.remarks.remarks)
-    if metrics:
-        capture["metrics"] = session.metrics
-    return run, capture
-
-
-def _merge_capture(parent: CompilerSession, capture: WorkerCapture) -> None:
-    """Fold one worker's spans/remarks/metrics into the parent session.
-
-    Spans keep their originating worker ``pid`` so the Chrome trace
-    renders one process track per worker; remarks are tagged with
-    ``worker_pid``; worker histograms merge bucket-wise.  Captures are
-    merged in payload order, so the merged streams are deterministic
-    regardless of completion order.
-    """
-    pid = int(capture["pid"])
-    generation = int(capture.get("generation", 0))
-    for event in capture.get("events", ()):
-        event.pid = pid
-        event.generation = generation
-        parent.tracer.events.append(event)
-    for remark in capture.get("remarks", ()):
-        remark.args.setdefault("worker_pid", pid)
-        parent.remarks.remarks.append(remark)
-    worker_metrics = capture.get("metrics")
-    if worker_metrics is not None and parent.metrics.enabled:
-        parent.metrics.merge(worker_metrics)
+    kernel_name, config_name, target_name, seed, journal = payload
+    return run_kernel_config(
+        kernel_named(kernel_name),
+        config_named(config_name),
+        target_named(target_name),
+        seed,
+        journal=journal,
+    )
 
 
 def _with_oracle(configs: Sequence[SLPConfig]) -> List[SLPConfig]:
@@ -161,26 +99,6 @@ def _with_oracle(configs: Sequence[SLPConfig]) -> List[SLPConfig]:
     if not any(c.name == O3_CONFIG.name for c in configs):
         configs.insert(0, O3_CONFIG)
     return configs
-
-
-def _pair_payloads(
-    kernels: Sequence[Kernel],
-    configs: Sequence[SLPConfig],
-    target: TargetMachine,
-    seed: int,
-    trace: bool,
-    remarks: bool,
-    journal: bool,
-    metrics: bool,
-) -> List[PairPayload]:
-    return [
-        (
-            kernel.name, config.name, target.name, seed,
-            trace, remarks, journal, metrics,
-        )
-        for kernel in kernels
-        for config in configs
-    ]
 
 
 def _assemble(
@@ -236,9 +154,10 @@ def run_suite_parallel(
     Results are reassembled in payload order, so the outcome is
     deterministic regardless of ``jobs`` or completion order.  If the
     *calling* session's tracer, remark collector or metrics registry is
-    enabled, workers arm the same collectors and their streams are
-    merged back into the caller's session keyed by worker pid (payload
-    order again, so the merged streams are deterministic).
+    enabled, every pair collects the same streams and its record is
+    absorbed into the caller's session when the pair completes: the
+    merged spans, remarks and histograms are the same multiset at any
+    ``jobs``, in completion order.
     ``journal=True`` attaches a per-run decision-journal summary to each
     :class:`KernelRun`.
 
@@ -264,24 +183,25 @@ def run_suite_parallel(
     itself from the report.
     """
     parent = current_session()
-    trace = parent.tracer.enabled
-    remarks = parent.remarks.enabled
-    metrics = parent.metrics.enabled
     kernels = list(kernels) if kernels is not None else all_kernels()
     configs = _with_oracle(configs)
-    payloads = _pair_payloads(
-        kernels, configs, target, seed, trace, remarks, journal, metrics
-    )
+    payloads: List[PairPayload] = [
+        (kernel.name, config.name, target.name, seed, journal)
+        for kernel in kernels
+        for config in configs
+    ]
     jobs = _resolve_jobs(jobs)
     if service is None and (jobs <= 1 or len(payloads) <= 1):
-        outcomes = [_run_pair(payload) for payload in payloads]
-        for _, capture in outcomes:
-            _merge_capture(parent, capture)
+        runs = []
+        for payload in payloads:
+            with task_session(parent, parent.channels()) as telemetry:
+                runs.append(_run_pair(payload))
+            parent.absorb(telemetry)
     else:
-        outcomes = _dispatch(
+        runs = _dispatch(
             parent, payloads, jobs, service=service, resilience=resilience
         )
-    return _assemble(kernels, configs, [run for run, _ in outcomes])
+    return _assemble(kernels, configs, runs)
 
 
 def _dispatch(
@@ -290,13 +210,13 @@ def _dispatch(
     jobs: int,
     service=None,
     resilience=None,
-) -> List[Tuple[KernelRun, WorkerCapture]]:
+) -> List[KernelRun]:
     """Fan payloads over the compile service, measuring dispatch overhead.
 
     Payload pickling cost is timed by the service submit path (the
     ``parallel.marshal_seconds`` counter / ``parallel.task.marshal_seconds``
     histogram now measure the real encode of each payload), and every
-    worker ships back its in-worker wall seconds.
+    task's telemetry record carries its in-worker wall seconds.
     ``parallel.overhead_seconds`` is the pool wall clock minus the
     perfectly-parallel worker time (``sum(worker_seconds) / workers``) —
     exactly the gap between the observed jobs=N time and the ideal N-way
@@ -339,7 +259,8 @@ def _dispatch(
                 with ResilientExecutor(
                     service, policy=resilience, session=parent
                 ) as executor:
-                    outcomes = executor.run_batch(tasks)
+                    runs = executor.run_batch(tasks)
+            telemetry = executor.telemetry
         else:
             with parent.tracer.span("parallel:submit", tasks=len(payloads)):
                 futures = []
@@ -356,32 +277,29 @@ def _dispatch(
                         )
                     )
                     futures.append(future)
-            outcomes = [future.result() for future in futures]
+            runs = [future.result() for future in futures]
+            telemetry = [future.telemetry for future in futures]
     finally:
         if owns_service:
             service.close()
     pool_wall = time.perf_counter() - pool_start
     workers = min(service.workers, len(payloads))
-    worker_total = 0.0
-    with parent.tracer.span("parallel:merge", tasks=len(payloads)):
-        for index, (_, capture) in enumerate(outcomes):
-            worker_seconds = float(capture["worker_seconds"])
-            worker_total += worker_seconds
-            if index < len(submit_at):  # resilient path times elsewhere
-                turnaround = (
-                    done_at.get(index, pool_start + pool_wall)
-                    - submit_at[index]
-                )
-                session_metrics.observe(
-                    "parallel.task.turnaround_seconds", max(0.0, turnaround),
-                    description="submit-to-done wall seconds per task "
-                    "(queueing included)",
-                )
-            session_metrics.observe(
-                "parallel.task.worker_seconds", worker_seconds,
-                description="in-worker wall seconds per task",
+    worker_seconds = [record.seconds for record in telemetry]
+    for index, seconds in enumerate(worker_seconds):
+        if index < len(submit_at):  # resilient path times elsewhere
+            turnaround = (
+                done_at.get(index, pool_start + pool_wall) - submit_at[index]
             )
-            _merge_capture(parent, capture)
+            session_metrics.observe(
+                "parallel.task.turnaround_seconds", max(0.0, turnaround),
+                description="submit-to-done wall seconds per task "
+                "(queueing included)",
+            )
+        session_metrics.observe(
+            "parallel.task.worker_seconds", seconds,
+            description="in-worker wall seconds per task",
+        )
+    worker_total = sum(worker_seconds)
     overhead = max(0.0, pool_wall - worker_total / max(1, workers))
     _OVERHEAD_SECONDS.resolve(stats).add(overhead)
     session_metrics.observe(
@@ -393,16 +311,14 @@ def _dispatch(
         first_index = min(done_at, key=done_at.get)
         spawn = max(
             0.0,
-            done_at[first_index]
-            - pool_start
-            - float(outcomes[first_index][1]["worker_seconds"]),
+            done_at[first_index] - pool_start - worker_seconds[first_index],
         )
         _SPAWN_SECONDS.resolve(stats).add(spawn)
         session_metrics.gauge(
             "parallel.pool_spawn_seconds", spawn,
             description="pool start to first result, minus in-worker time",
         )
-    return outcomes
+    return runs
 
 
 # -- figure-level workers -----------------------------------------------------------

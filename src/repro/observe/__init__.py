@@ -50,10 +50,8 @@ ambient ones are reached through :func:`current_session` (see
 
 from .context import (
     TraceContext,
-    current_trace_context,
     mint_context,
     new_span_id,
-    use_trace_context,
     validate_span_tree,
 )
 from .trace import TraceEvent, Tracer, load_chrome_trace
@@ -87,8 +85,6 @@ __all__ = [
     "TraceContext",
     "mint_context",
     "new_span_id",
-    "current_trace_context",
-    "use_trace_context",
     "validate_span_tree",
     "load_chrome_trace",
     "STAT",

@@ -11,11 +11,10 @@ retried attempt keeps the trace id, so both attempts land in one tree.
 The context crosses process boundaries as a plain ``(trace_id, span_id,
 attempt)`` tuple (:meth:`TraceContext.to_wire`) inside pool pipe frames,
 and as a JSON object (:meth:`TraceContext.to_doc`) inside JSONL wire
-requests.  Inside one process it travels ambiently through a
-:mod:`contextvars` variable (:func:`use_trace_context` /
-:func:`current_trace_context`), mirroring how
-:func:`~repro.observe.session.use_session` carries the session — worker
-task runners pick it up without explicit threading.
+requests.  Inside a worker it is bound to the task's tracer
+(:meth:`~repro.observe.trace.Tracer.bind`, done by
+:func:`~repro.observe.session.task_session`), so every span the task
+opens joins the request's tree without explicit threading.
 
 Ids are minted from a per-process counter salted with the pid, so two
 workers never collide and no global RNG is touched (chaos campaigns
@@ -26,12 +25,10 @@ bit-identical.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: wire form of a context inside pool pipe frames
 WireContext = Tuple[str, str, int]
@@ -101,30 +98,6 @@ class TraceContext:
     def traceparent(self) -> str:
         """W3C-style rendering: ``00-<trace>-<span>-01``."""
         return f"00-{self.trace_id:0>32}-{self.span_id:0>16}-01"
-
-
-# -- ambient context ----------------------------------------------------------
-
-_CURRENT: contextvars.ContextVar[Optional[TraceContext]] = contextvars.ContextVar(
-    "repro_current_trace_context", default=None
-)
-
-
-def current_trace_context() -> Optional[TraceContext]:
-    """The ambient request context, or None outside any traced request."""
-    return _CURRENT.get()
-
-
-@contextmanager
-def use_trace_context(
-    context: Optional[TraceContext],
-) -> Iterator[Optional[TraceContext]]:
-    """Install ``context`` as the ambient trace context for a scope."""
-    token = _CURRENT.set(context)
-    try:
-        yield context
-    finally:
-        _CURRENT.reset(token)
 
 
 # -- span-tree validation ------------------------------------------------------

@@ -40,20 +40,59 @@ Code that wants the process default's components reads them off
 :data:`DEFAULT_SESSION` (``DEFAULT_SESSION.stats`` et al.); code that
 wants whatever is ambient calls :func:`current_session` or one of the
 ``current_*`` accessors.
+
+Task telemetry
+--------------
+
+Work run on a session's behalf — in a service worker or an in-process
+fallback — reports back through one pair of calls: :func:`task_session`
+runs it in its own session armed with the requester's
+``session.channels()`` and fills one picklable :class:`TaskTelemetry`
+record; :meth:`CompilerSession.absorb` folds that record in.
 """
 
 from __future__ import annotations
 
 import contextvars
+import time
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .context import TraceContext
 from .journal import DecisionJournal
 from .log import EventLog
 from .metrics import MetricsRegistry
-from .remarks import RemarkCollector
+from .remarks import Remark, RemarkCollector
 from .stats import StatsRegistry
-from .trace import Tracer
+from .trace import TraceEvent, Tracer
+
+#: the streams a task can be armed with (see :func:`task_session`)
+CHANNELS = ("trace", "remarks", "metrics")
+
+
+@dataclass
+class TaskTelemetry:
+    """What one task recorded, for the session that asked for the task.
+
+    Produced by :func:`task_session`, consumed by
+    :meth:`CompilerSession.absorb`; it pickles as-is, so it crosses the
+    worker→parent pipe inside the pool's result envelope.
+    """
+
+    #: OS pid of the producing worker; 0 for a task run in this process
+    pid: int = 0
+    #: pool generation of the producing worker (respawns bump it)
+    generation: int = 0
+    #: wall seconds spent inside the task scope
+    seconds: float = 0.0
+    #: non-zero counters the task recorded into its own session
+    counters: Dict[str, float] = field(default_factory=dict)
+    #: completed spans, stamped with ``pid`` and ``generation``
+    spans: List[TraceEvent] = field(default_factory=list)
+    remarks: List[Remark] = field(default_factory=list)
+    #: the task's registry, when the metrics channel was armed
+    metrics: Optional[MetricsRegistry] = None
 
 
 class CompilerSession:
@@ -127,6 +166,31 @@ class CompilerSession:
             seed=self.seed,
         )
 
+    def channels(self) -> Tuple[str, ...]:
+        """The :data:`CHANNELS` this session has armed — what a task run
+        on its behalf should collect."""
+        armed = (self.tracer.enabled, self.remarks.enabled, self.metrics.enabled)
+        return tuple(name for name, on in zip(CHANNELS, armed) if on)
+
+    def absorb(self, telemetry: TaskTelemetry) -> None:
+        """Fold one task's record into this session.
+
+        Counters add; spans are appended as shipped (already stamped with
+        the producing pid and pool generation); remarks are tagged with
+        ``worker_pid``; histograms merge bucket-wise.  A stream this
+        session does not collect is dropped.
+        """
+        for name, value in telemetry.counters.items():
+            self.stats.stat(name).add(value)
+        if self.tracer.enabled:
+            self.tracer.events.extend(telemetry.spans)
+        if self.remarks.enabled:
+            for remark in telemetry.remarks:
+                remark.args.setdefault("worker_pid", telemetry.pid)
+            self.remarks.remarks.extend(telemetry.remarks)
+        if telemetry.metrics is not None and self.metrics.enabled:
+            self.metrics.merge(telemetry.metrics)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CompilerSession {self.name!r}>"
 
@@ -154,6 +218,52 @@ def use_session(session: CompilerSession) -> Iterator[CompilerSession]:
         yield session
     finally:
         _CURRENT.reset(token)
+
+
+@contextmanager
+def task_session(
+    base: CompilerSession,
+    channels: Sequence[str] = (),
+    *,
+    pid: int = 0,
+    generation: int = 0,
+    trace: Optional[TraceContext] = None,
+) -> Iterator[TaskTelemetry]:
+    """Run one task in its own ambient session; yields its record.
+
+    The task session shares ``base``'s fault registry and arms exactly
+    ``channels``; everything else is fresh, so nothing a task records
+    lingers in ``base`` (a warm worker's session).  With a ``trace``
+    context the tracer is bound to the request, so the first span the
+    task opens parents into the request span.  On exit — also when the
+    body raises — the record receives the scope's wall seconds, the
+    counter snapshot, the spans (stamped with ``pid``/``generation``;
+    both stay 0 in the requester's own process), the remarks and, when
+    armed, the metrics registry.
+    """
+    session = CompilerSession(name=f"{base.name}:task", faults=base.faults)
+    if "trace" in channels:
+        session.tracer.enable()
+    if "remarks" in channels:
+        session.remarks.enable()
+    if "metrics" in channels:
+        session.metrics.enable()
+    tracer = session.tracer
+    telemetry = TaskTelemetry(pid=pid, generation=generation)
+    started = time.perf_counter()
+    try:
+        with use_session(session), tracer.bind(trace):
+            yield telemetry
+    finally:
+        telemetry.seconds = time.perf_counter() - started
+        telemetry.counters = session.stats.snapshot()
+        for event in tracer.events:
+            event.pid = pid
+            event.generation = generation
+        telemetry.spans = tracer.events
+        telemetry.remarks = session.remarks.remarks
+        if session.metrics.enabled:
+            telemetry.metrics = session.metrics
 
 
 def current_stats() -> StatsRegistry:

@@ -17,23 +17,26 @@ itself before handing bytes to this pool).
 
 Protocol (all tuples, pickled):
 
-* parent → worker: ``(task_id, kind, payload_bytes, trace)`` or the
-  ``None`` sentinel meaning *drain and exit* — the worker finishes
-  everything already in its pipe first, then acknowledges and leaves.
-  ``trace`` is ``None`` (tracing off) or the requesting context's
-  :meth:`~repro.observe.context.TraceContext.to_wire` triple
-  ``(trace_id, span_id, attempt)``.
-* worker → parent: ``(task_id, status, data_bytes, worker_seconds,
-  stats_delta, spans)`` where ``status`` is ``"ok"`` or ``"error"``,
-  ``data_bytes`` pickles the result (or ``(exc_type_name, message)``)
-  and ``stats_delta`` is the warm session's counter delta for the task
-  (cache hits etc.), folded into the service session by the parent —
-  never into task results, so bit-identity with serial runs holds.
-  ``spans`` is the task's captured span forest (empty when the task
-  carried no trace): :class:`~repro.observe.trace.TraceEvent` objects
-  rooted at a ``worker:task`` span whose ``parent_id`` is the request
-  span shipped in ``trace``, which is what lets the parent assemble one
-  causally-linked tree per request across process boundaries.
+* parent → worker: ``(task_id, kind, payload_bytes, trace, channels)``
+  or the ``None`` sentinel meaning *drain and exit* — the worker
+  finishes everything already in its pipe first, then acknowledges and
+  leaves.  ``trace`` is ``None`` (tracing off) or the requesting
+  context's :meth:`~repro.observe.context.TraceContext.to_wire` triple
+  ``(trace_id, span_id, attempt)``; ``channels`` names the streams the
+  requesting session has armed (:meth:`CompilerSession.channels
+  <repro.observe.session.CompilerSession.channels>`).
+* worker → parent: ``(task_id, status, data_bytes, telemetry)`` where
+  ``status`` is ``"ok"`` or ``"error"``, ``data_bytes`` pickles the
+  result (or ``(exc_type_name, message)``) and ``telemetry`` is the
+  :class:`~repro.observe.session.TaskTelemetry` record of the
+  :func:`~repro.observe.session.task_session` the task ran in: its
+  in-worker wall seconds, counters (cache hits etc.) and, when armed,
+  spans, remarks and histograms.  Traced spans are rooted at a
+  ``worker:task`` span whose ``parent_id`` is the request span, so the
+  parent assembles one causally-linked tree per request.  The service
+  absorbs the record into its own session — never into task results,
+  so bit-identity with serial runs holds.  Progress frames (``"begin"``,
+  heartbeats, the drain acknowledgement) carry ``None``.
 
 Crash handling: the parent polls ``Process.is_alive()`` (pipe EOF is
 unreliable under ``fork`` because later workers inherit earlier workers'
@@ -50,11 +53,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process, connection
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
+
+from ..observe.context import TraceContext
+from ..observe.session import TaskTelemetry
 
 #: wire tuples (see module docstring)
-TaskEnvelope = Tuple[int, str, bytes, Optional[Tuple[str, str, int]]]
-ResultEnvelope = Tuple[int, str, bytes, float, Dict[str, float], List[object]]
+TaskEnvelope = Tuple[
+    int, str, bytes, Optional[Tuple[str, str, int]], Tuple[str, ...]
+]
+ResultEnvelope = Tuple[int, str, bytes, Optional[TaskTelemetry]]
 
 #: pseudo task id of periodic worker heartbeat envelopes
 HEARTBEAT_ID = -3
@@ -81,7 +89,7 @@ def _worker_main(
     """Worker loop: one warm session, tasks until sentinel or EOF."""
     # Imports happen here, inside the child, so the parent's submit path
     # never blocks on them and the warm cost is paid exactly once.
-    from ..observe.session import CompilerSession, use_session
+    from ..observe.session import CompilerSession, current_tracer, task_session
     from .tasks import WorkerState, run_task
 
     session = CompilerSession(name=f"{pool_name}-worker:{index}")
@@ -105,7 +113,6 @@ def _worker_main(
         session=session,
         cache_dir=cache_dir,
         cache_entries=cache_entries,
-        generation=generation,
     )
     # The heartbeat thread shares the result pipe with task replies;
     # Connection.send is not atomic across threads, so all sends take
@@ -122,7 +129,7 @@ def _worker_main(
             while True:
                 time.sleep(heartbeat_interval)
                 try:
-                    _send((HEARTBEAT_ID, "hb", b"", 0.0, {}, []))
+                    _send((HEARTBEAT_ID, "hb", b"", None))
                 except (OSError, BrokenPipeError, ValueError):
                     break
 
@@ -130,130 +137,72 @@ def _worker_main(
             target=_beat, name=f"{pool_name}-hb-{index}", daemon=True
         ).start()
 
-    with use_session(session):
-        while True:
+    pid = os.getpid()
+    while True:
+        try:
+            envelope = task_recv.recv()
+        except (EOFError, OSError):
+            break
+        if envelope is None:  # drain sentinel
             try:
-                envelope = task_recv.recv()
-            except (EOFError, OSError):
-                break
-            if envelope is None:  # drain sentinel
-                try:
-                    _send((-1, "bye", b"", 0.0, {}, []))
-                except (OSError, BrokenPipeError):
-                    pass
-                break
-            task_id, kind, payload_bytes, trace = envelope
-            # Proactive progress beat: the parent's wedged-worker
-            # detector measures stall time from this marker, so a task
-            # that never completes is caught before its deadline.
-            try:
-                _send((task_id, "begin", b"", 0.0, {}, []))
+                _send((-1, "bye", b"", None))
             except (OSError, BrokenPipeError):
-                break
-            if faults is not None:
-                try:
-                    faults.fire("serve.worker.crash")
-                except fault_error:
-                    os._exit(CRASH_EXIT_CODE)
-                faults.fire("serve.worker.stall")
-            started = time.perf_counter()
-            before = session.stats.snapshot()
-            spans: List[object] = []
+                pass
+            break
+        task_id, kind, payload_bytes, trace, channels = envelope
+        # Proactive progress beat: the parent's wedged-worker detector
+        # measures stall time from this marker, so a task that never
+        # completes is caught before its deadline.
+        try:
+            _send((task_id, "begin", b"", None))
+        except (OSError, BrokenPipeError):
+            break
+        if faults is not None:
+            try:
+                faults.fire("serve.worker.crash")
+            except fault_error:
+                os._exit(CRASH_EXIT_CODE)
+            faults.fire("serve.worker.stall")
+        context = TraceContext.from_wire(trace)
+        attempt = context.attempt if context is not None else 0
+        with task_session(
+            session, channels, pid=pid, generation=generation, trace=context
+        ) as telemetry:
             try:
                 payload = pickle.loads(payload_bytes)
                 if faults is not None:
                     faults.fire("serve.task.error")
-                if trace is None:
+                # The task's root span: everything it opens nests here.
+                with current_tracer().span(
+                    "worker:task", kind=kind, task=task_id, worker=index,
+                    attempt=attempt,
+                ):
                     result = run_task(kind, payload, state)
-                else:
-                    result = _run_traced(
-                        state, generation, task_id, kind, payload,
-                        trace, spans,
-                    )
                 status, data = "ok", pickle.dumps(result, protocol=-1)
             except BaseException as exc:  # noqa: BLE001 - ship, don't die
                 status = "error"
                 data = pickle.dumps(
                     (type(exc).__name__, str(exc)), protocol=-1
                 )
-            worker_seconds = time.perf_counter() - started
-            after = session.stats.snapshot()
-            delta = {
-                name: after[name] - before.get(name, 0.0)
-                for name in after
-                if after[name] != before.get(name, 0.0)
-            }
-            state.tasks_done += 1
-            garbled = False
-            if faults is not None:
+        state.tasks_done += 1
+        garbled = False
+        if faults is not None:
 
-                def _garble() -> None:
-                    nonlocal garbled
-                    garbled = True
-                    try:  # a structurally bogus frame, not a result
-                        _send(("garbage-frame", index))  # type: ignore[arg-type]
-                    except (OSError, BrokenPipeError):
-                        pass
+            def _garble() -> None:
+                nonlocal garbled
+                garbled = True
+                try:  # a structurally bogus frame, not a result
+                    _send(("garbage-frame", index))  # type: ignore[arg-type]
+                except (OSError, BrokenPipeError):
+                    pass
 
-                faults.fire("serve.pipe.frame", corrupt=_garble)
-            if garbled:
-                continue
-            try:
-                _send((task_id, status, data, worker_seconds, delta, spans))
-            except (OSError, BrokenPipeError):
-                break
-
-
-def _run_traced(
-    state: object,
-    generation: int,
-    task_id: int,
-    kind: str,
-    payload: object,
-    raw_trace: Tuple[str, str, int],
-    spans_out: List[object],
-) -> object:
-    """Run one task under its request's bound trace context.
-
-    Opens a ``worker:task`` root span parented to the request span the
-    parent shipped in the envelope, installs a derived ambient context so
-    compile-phase spans opened by the task nest under that root, and
-    captures the resulting span forest into ``spans_out`` — also when
-    the task raises (the root span closes during propagation), so error
-    replies still carry their spans.  The warm session's tracer is
-    force-enabled only for the scope of the task; spans are moved out of
-    the worker-local tracer so repeated tasks never accumulate state.
-    """
-    from ..observe.context import TraceContext, use_trace_context
-    from .tasks import run_task
-
-    session = state.session  # type: ignore[attr-defined]
-    context = TraceContext.from_wire(raw_trace)
-    tracer = session.tracer
-    mark = len(tracer.events)
-    was_enabled = tracer.enabled
-    tracer.enabled = True
-    try:
-        with tracer.bind(context):
-            with tracer.span(
-                "worker:task",
-                kind=kind,
-                task=task_id,
-                worker=state.index,  # type: ignore[attr-defined]
-                attempt=context.attempt,
-            ) as root:
-                inner = context.child(root.span_id)
-                with use_trace_context(inner):
-                    return run_task(kind, payload, state)
-    finally:
-        pid = os.getpid()
-        captured = tracer.events[mark:]
-        del tracer.events[mark:]
-        tracer.enabled = was_enabled
-        for event in captured:
-            event.pid = pid
-            event.generation = generation
-        spans_out.extend(captured)
+            faults.fire("serve.pipe.frame", corrupt=_garble)
+        if garbled:
+            continue
+        try:
+            _send((task_id, status, data, telemetry))
+        except (OSError, BrokenPipeError):
+            break
 
 
 @dataclass
@@ -398,16 +347,9 @@ class WorkerPool:
 
     # -- I/O --
 
-    def send(
-        self,
-        index: int,
-        task_id: int,
-        kind: str,
-        payload: bytes,
-        trace: Optional[Tuple[str, str, int]] = None,
-    ) -> None:
+    def send(self, index: int, envelope: TaskEnvelope) -> None:
         worker = self.workers[index]
-        worker.task_send.send((task_id, kind, payload, trace))
+        worker.task_send.send(envelope)
         worker.inflight += 1
         worker.tasks_sent += 1
 

@@ -42,7 +42,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..observe import STAT
 from ..observe.context import TraceContext, mint_context, new_span_id
-from ..observe.session import CompilerSession, current_session, use_session
+from ..observe.session import (
+    CompilerSession,
+    TaskTelemetry,
+    current_session,
+    current_tracer,
+    task_session,
+)
 from ..observe.trace import TraceEvent
 from .service import (
     CompileService,
@@ -197,7 +203,9 @@ class ResilientExecutor:
 
     ``service`` may be None (or die mid-batch): every task still
     completes, just further down the ladder.  Results are position-stable
-    — ``run_batch(tasks)[i]`` is always the result for ``tasks[i]``.
+    — ``run_batch(tasks)[i]`` is always the result for ``tasks[i]`` — and
+    after a batch ``telemetry[i]`` is the record of the attempt that
+    produced it, whichever rung ran it (already absorbed by that rung).
     """
 
     def __init__(
@@ -217,6 +225,7 @@ class ResilientExecutor:
         self._local_service: Optional[CompileService] = None
         self._local_failed = False
         self._serial_state = None
+        self.telemetry: List[TaskTelemetry] = []
 
     # -- lifecycle ------------------------------------------------------
 
@@ -255,12 +264,14 @@ class ResilientExecutor:
             self._try_submit(task, trace=context)
             for task, context in zip(tasks, contexts)
         ]
-        return [
+        outcomes = [
             self._collect(task, future, context, start_ns)
             for task, future, context, start_ns in zip(
                 tasks, futures, contexts, started
             )
         ]
+        self.telemetry = [telemetry for _, telemetry in outcomes]
+        return [result for result, _ in outcomes]
 
     # -- service attempts ----------------------------------------------
 
@@ -289,14 +300,15 @@ class ResilientExecutor:
         future: Optional[Future],
         context: Optional[TraceContext] = None,
         started_ns: int = 0,
-    ) -> object:
+    ) -> Tuple[object, TaskTelemetry]:
         kind, _, shard_key, _ = task
         policy = self.policy
         attempt = 0
         last_exc: Optional[BaseException] = None
         while future is not None:
             try:
-                result = self._await(task, future, context)
+                winner = self._await(task, future, context)
+                result = winner.result()
             except ServiceError as exc:
                 last_exc = exc
                 self._count_failure()
@@ -329,10 +341,10 @@ class ResilientExecutor:
                 self.breaker.record_success()
                 self._sync_breaker()
                 self._finish_client_span(task, context, started_ns, "ok")
-                return result
-        result = self._run_degraded(task, cause=last_exc, context=context)
+                return result, winner.telemetry
+        outcome = self._run_degraded(task, cause=last_exc, context=context)
         self._finish_client_span(task, context, started_ns, "degraded")
-        return result
+        return outcome
 
     def _finish_client_span(
         self,
@@ -367,21 +379,25 @@ class ResilientExecutor:
         task: TaskSpec,
         future: Future,
         context: Optional[TraceContext] = None,
-    ) -> object:
-        """Wait for ``future``, hedging a duplicate if it straggles."""
+    ) -> Future:
+        """Wait for ``future``, hedging a duplicate if it straggles;
+        returns the future that finished first without error."""
         hedge_after = self.policy.hedge_after_seconds
         if hedge_after is None:
-            return future.result()
+            future.result()
+            return future
         done, _ = _wait_futures([future], timeout=hedge_after)
         if done:
-            return future.result()
+            future.result()
+            return future
         # Straggler: race a duplicate on a *different* worker (no shard
         # pin), since the pinned worker is the likely culprit.  The hedge
         # shares the original request's trace context, so both attempts
         # land in the same span tree.
         hedge = self._try_submit(task, shard_key=None, trace=context)
         if hedge is None:
-            return future.result()
+            future.result()
+            return future
         _HEDGES.resolve(self.session.stats).add()
         self.session.log.emit(
             "info", "hedge",
@@ -416,7 +432,7 @@ class ResilientExecutor:
                     self._record_hedge_loser(task, context, f is hedge)
         if winner is hedge:
             _HEDGE_WINS.resolve(self.session.stats).add()
-        return winner.result()
+        return winner
 
     def _record_hedge_loser(
         self,
@@ -484,7 +500,7 @@ class ResilientExecutor:
         task: TaskSpec,
         cause: Optional[BaseException] = None,
         context: Optional[TraceContext] = None,
-    ) -> object:
+    ) -> Tuple[object, TaskTelemetry]:
         """Rungs below the service: local pool, then serial in-process.
 
         ``context`` (when tracing) follows the task down the ladder, so
@@ -502,10 +518,11 @@ class ResilientExecutor:
         if self.policy.local_pool_workers > 0 and not self._local_failed:
             try:
                 local = self._ensure_local_service()
-                result = local.submit(
+                future = local.submit(
                     kind, payload, shard_key=shard_key, weight=weight,
                     trace=context,
-                ).result()
+                )
+                result = future.result()
             except ServiceError as exc:
                 self._local_failed = True
                 detail = (
@@ -513,7 +530,6 @@ class ResilientExecutor:
                     f"{type(exc).__name__}"
                 )
             else:
-                self._adopt_local_spans()
                 self.session.remarks.recovery(
                     "resilience",
                     f"degraded {kind} task to the ephemeral local pool "
@@ -529,7 +545,7 @@ class ResilientExecutor:
                     rung="local-pool",
                     cause=detail,
                 )
-                return result
+                return result, future.telemetry
         self.session.remarks.recovery(
             "resilience",
             f"degraded {kind} task to serial in-process execution "
@@ -553,12 +569,12 @@ class ResilientExecutor:
                 # A *fresh* session so armed faults in the caller's
                 # session can't follow the work down the ladder — the
                 # local pool models a healthy replacement, like a
-                # respawned worker.
-                local_session = CompilerSession(name="resilience-local")
-                # Mirror the caller's tracing switch so the local rung's
-                # request/worker spans exist to be adopted; everything
-                # else in the session stays fresh (fault isolation).
-                local_session.tracer.enabled = self.session.tracer.enabled
+                # respawned worker.  Only the tracer is the caller's, so
+                # the rung's request and worker spans land in the
+                # caller's trace directly.
+                local_session = CompilerSession(
+                    name="resilience-local", tracer=self.session.tracer
+                )
                 self._local_service = CompileService(
                     workers=self.policy.local_pool_workers,
                     session=local_session,
@@ -566,32 +582,19 @@ class ResilientExecutor:
                 ).start()
             return self._local_service
 
-    def _adopt_local_spans(self) -> None:
-        """Move the local pool's captured spans into the caller's tracer.
-
-        The local service records into its own fresh session; after each
-        degraded result its span forest (request spans plus the worker
-        spans shipped back over its pipes) is drained into the caller's
-        tracer so the trace file shows the full ladder story.
-        """
-        if not self.session.tracer.enabled:
-            return
-        with self._lock:
-            local = self._local_service
-        if local is None or local.session is self.session:
-            return
-        events = local.session.tracer.events
-        if events:
-            self.session.tracer.events.extend(events)
-            del events[: len(events)]
-
     def _run_serial(
         self,
         kind: str,
         payload: object,
         context: Optional[TraceContext] = None,
-    ) -> object:
-        """Last rung: run the task right here, no processes involved."""
+    ) -> Tuple[object, TaskTelemetry]:
+        """Last rung: run the task right here, no processes involved.
+
+        The task runs under the same producer a worker uses, in-process:
+        traced like a worker task (a ``serial:task`` root parented into
+        the request context; pid stays 0 — this *is* the client process)
+        and absorbed into the caller's session, also when it raises.
+        """
         from .tasks import WorkerState, run_task
 
         with self._lock:
@@ -601,26 +604,15 @@ class ResilientExecutor:
                     session=CompilerSession(name="resilience-serial"),
                 )
             state = self._serial_state
-        if context is None or not self.session.tracer.enabled:
-            with use_session(state.session):
-                return run_task(kind, payload, state)
-        # Trace the serial rung like a worker would: a ``serial:task``
-        # root parented into the request context, compile-phase spans
-        # nested inside, the forest moved into the caller's tracer
-        # afterwards (pid stays 0 — this *is* the client process).
-        tracer = state.session.tracer
-        mark = len(tracer.events)
-        was_enabled = tracer.enabled
-        tracer.enabled = True
+        attempt = context.attempt if context is not None else 0
         try:
-            with use_session(state.session):
-                with tracer.bind(context):
-                    with tracer.span(
-                        "serial:task", kind=kind, attempt=context.attempt
-                    ):
-                        return run_task(kind, payload, state)
+            with task_session(
+                state.session, self.session.channels(), trace=context
+            ) as telemetry:
+                with current_tracer().span(
+                    "serial:task", kind=kind, attempt=attempt
+                ):
+                    result = run_task(kind, payload, state)
         finally:
-            captured = tracer.events[mark:]
-            del tracer.events[mark:]
-            tracer.enabled = was_enabled
-            self.session.tracer.events.extend(captured)
+            self.session.absorb(telemetry)
+        return result, telemetry

@@ -5,7 +5,8 @@ dispatcher thread, and exposes a futures API::
 
     with CompileService(workers=2, cache_dir=".repro-cache") as service:
         future = service.submit("bench-pair", (pair, True), shard_key=kernel)
-        run, capture = future.result()
+        run = future.result()
+        seconds = future.telemetry.seconds  # the task's in-worker wall time
 
 Scheduling semantics:
 
@@ -32,6 +33,13 @@ Scheduling semantics:
   (``retries`` attempts) before :class:`WorkerCrashed` surfaces.  A
   task that *keeps* killing workers fails rather than looping forever.
 
+Telemetry: each dispatch arms the worker with the service session's
+own channels, and each reply's one
+:class:`~repro.observe.session.TaskTelemetry` record is absorbed into
+the service session in :meth:`CompileService._handle_result` — the only
+place pooled work's telemetry reaches the parent — then left on the
+future as ``future.telemetry``.
+
 Every queue transition is instrumented into the service session:
 ``serve.queue_depth`` gauge, ``serve.task.queue_seconds`` /
 ``serve.task.turnaround_seconds`` histograms, per-worker utilization
@@ -57,7 +65,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..observe import STAT
 from ..observe.context import TraceContext, mint_context, new_span_id
 from ..observe.metrics import exact_percentile
-from ..observe.session import CompilerSession, current_session
+from ..observe.session import CompilerSession, TaskTelemetry, current_session
 from ..observe.trace import TraceEvent
 from .pool import WorkerPool
 
@@ -128,12 +136,20 @@ class RemoteTaskError(ServiceError):
 _UNSET = object()
 
 
+class TaskFuture(Future):
+    """A submitted task's future.  Once a worker reply resolves it,
+    :attr:`telemetry` is that reply's record (pid, generation, in-worker
+    seconds, ...), already absorbed into the service session."""
+
+    telemetry: Optional[TaskTelemetry] = None
+
+
 @dataclass
 class TaskRecord:
     id: int
     kind: str
     payload: bytes
-    future: Future
+    future: TaskFuture
     shard_key: Optional[str]
     weight: float
     deadline: Optional[float]
@@ -363,8 +379,8 @@ class CompileService:
         weight: float = 1.0,
         block: bool = True,
         trace: Optional[TraceContext] = None,
-    ) -> Future:
-        """Enqueue one task; returns a ``concurrent.futures.Future``.
+    ) -> TaskFuture:
+        """Enqueue one task; returns its :class:`TaskFuture`.
 
         While the session tracer is enabled every task gets a request
         :class:`TraceContext` — derived from ``trace`` when the caller
@@ -409,7 +425,7 @@ class CompileService:
                 id=self._next_id,
                 kind=kind,
                 payload=data,
-                future=Future(),
+                future=TaskFuture(),
                 shard_key=shard_key,
                 weight=float(weight),
                 deadline=deadline,
@@ -445,7 +461,7 @@ class CompileService:
 
     def submit_batch(
         self, tasks: Iterable[Tuple[str, object]], **opts
-    ) -> List[Future]:
+    ) -> List[TaskFuture]:
         """Submit ``(kind, payload)`` pairs; futures in submission order."""
         return [self.submit(kind, payload, **opts) for kind, payload in tasks]
 
@@ -589,6 +605,7 @@ class CompileService:
         if not self.pool.live_indices():
             self._fail_pending_unavailable()
             return
+        channels = self.session.channels()
         with self._lock:
             if not self._pending:
                 return
@@ -616,8 +633,11 @@ class CompileService:
                     )
                 try:
                     self.pool.send(
-                        index, record.id, record.kind, record.payload,
-                        wire_trace,
+                        index,
+                        (
+                            record.id, record.kind, record.payload,
+                            wire_trace, channels,
+                        ),
                     )
                 except (OSError, BrokenPipeError):
                     # Worker died between liveness scan and send; the
@@ -646,9 +666,13 @@ class CompileService:
 
     def _handle_result(self, worker_index: int, envelope) -> None:
         try:
-            task_id, status, data, worker_seconds, delta, spans = envelope
+            task_id, status, data, telemetry = envelope
             if not isinstance(task_id, int) or not isinstance(status, str):
                 raise TypeError("bogus envelope field types")
+            if status in ("ok", "error") and not isinstance(
+                telemetry, TaskTelemetry
+            ):
+                raise TypeError("result frame without a telemetry record")
         except (TypeError, ValueError):
             # Truncated/garbage frame: the worker's stream can no longer
             # be trusted — kill it; the dead scan requeues its in-flight
@@ -671,29 +695,23 @@ class CompileService:
         with self._lock:
             if worker_index < len(self.pool.workers):
                 worker = self.pool.workers[worker_index]
-                worker.busy_seconds += float(worker_seconds)
+                worker.busy_seconds += telemetry.seconds
                 worker.inflight = max(0, worker.inflight - 1)
             record = self._inflight.get(worker_index, OrderedDict()).pop(
                 task_id, None
             )
             if record is None:
                 record = self._records.get(task_id)
-        # Warm-session counter deltas (cache hits, task-cache traffic)
-        # fold into the *service* session — never into task results.
+        # The one absorb for pooled work, into the *service* session —
+        # never into task results.  Traced spans parent into
+        # record.trace.span_id, closing the cross-process causal chain.
+        self.session.absorb(telemetry)
         stats = self.session.stats
-        for name, value in sorted(delta.items()):
-            stats.stat(name).add(value)
         if record is None or record.done or record.state == "abandoned":
             if record is not None and not record.done:
                 self._finish_noop(record)
             return
-        # Adopt the worker's captured span forest into the service
-        # session's tracer: these spans carry the request's trace id and
-        # parent into record.trace.span_id, closing the cross-process
-        # causal chain.  (Error replies ship spans too — the worker:task
-        # root closes during exception propagation.)
-        if record.trace is not None and spans and self.session.tracer.enabled:
-            self.session.tracer.events.extend(spans)
+        record.future.telemetry = telemetry
         turnaround = time.perf_counter() - record.submitted_at
         self._recent_turnaround.append(turnaround)
         self.session.metrics.observe(
@@ -705,9 +723,7 @@ class CompileService:
             self.slow_log_seconds is not None
             and turnaround > self.slow_log_seconds
         ):
-            self._record_slow(
-                record, status, turnaround, float(worker_seconds), spans
-            )
+            self._record_slow(record, status, turnaround, telemetry)
         if status == "ok":
             try:
                 result = pickle.loads(data)
@@ -818,8 +834,7 @@ class CompileService:
         record: TaskRecord,
         status: str,
         turnaround: float,
-        worker_seconds: float,
-        spans: Sequence[TraceEvent],
+        telemetry: TaskTelemetry,
     ) -> None:
         """Append one structured slow-request document (and log event).
 
@@ -833,12 +848,15 @@ class CompileService:
             if record.sent_at is not None
             else 0.0
         )
+        worker_seconds = telemetry.seconds
         compile_ns = sum(
-            event.duration_ns for event in spans if event.name == "compile"
+            event.duration_ns
+            for event in telemetry.spans
+            if event.name == "compile"
         )
         phase_ns = sum(
             event.duration_ns
-            for event in spans
+            for event in telemetry.spans
             if event.name.startswith("phase:")
         )
         document: Dict[str, object] = {

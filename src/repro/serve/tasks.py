@@ -9,7 +9,11 @@ objects.
 
 :class:`WorkerState` is the per-worker context: the slot index, the warm
 :class:`~repro.observe.session.CompilerSession`, and (when the service
-was given a cache directory) two lazily-opened shared stores:
+was given a cache directory) two lazily-opened shared stores.  Runners
+record into the *ambient* session — the per-task session the worker
+installs around every task (:func:`~repro.observe.session.task_session`),
+whose record the parent absorbs — never into the warm session directly.
+The stores:
 
 * the :class:`~repro.vectorizer.cache.CompileCache` (namespace
   ``compile``) memoizing raw compiles for the ``compile`` wire kind, and
@@ -26,8 +30,8 @@ simulator is deterministic, and the stored run replays the *cold* run's
 counters verbatim, so the parallel==serial bit-identity contract holds
 on every deterministic field (``correct`` is stored as None and
 recomputed by the parent's O3 cross-check, exactly as for a cold run).
-Runs that armed per-task tracing or remarks bypass the store — replaying
-span streams would be a lie.
+Tasks whose session collects spans or remarks bypass the store —
+replaying span streams would be a lie.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..observe import STAT
-from ..observe.session import CompilerSession
+from ..observe.session import CompilerSession, current_session
 
 TASK_KINDS: Dict[str, Callable] = {}
 
@@ -78,9 +82,6 @@ class WorkerState:
     cache_dir: Optional[str] = None
     cache_entries: Optional[int] = None
     tasks_done: int = 0
-    #: pool generation of the hosting process (respawns bump it);
-    #: stamped onto captured spans so traces key tracks by (pid, gen)
-    generation: int = 0
     #: kernel name -> printed module text, memoized for cache keying
     _module_texts: Dict[str, str] = field(default_factory=dict)
     _compile_cache: Optional[object] = field(default=None, repr=False)
@@ -177,7 +178,7 @@ def _bench_task_key(state: WorkerState, pair) -> str:
     from ..interp.engine import default_engine
     from ..vectorizer.cache import repro_source_fingerprint
 
-    kernel_name, config_name, target_name, seed, _, _, journal, _ = pair
+    kernel_name, config_name, target_name, seed, journal = pair
     hasher = hashlib.sha256()
     hasher.update(state.module_text(kernel_name).encode("utf-8"))
     hasher.update(
@@ -195,39 +196,29 @@ def _bench_task_key(state: WorkerState, pair) -> str:
 def _bench_pair_task(payload, state: WorkerState):
     """One (kernel, config) bench pair, memoized through the result store.
 
-    ``payload`` is ``(PairPayload, use_cache)``.  Pairs that armed
-    tracing or remarks always run cold (their value *is* the streams);
-    otherwise a store hit rebuilds the KernelRun from the cold run's
-    stored document and reports the actual lookup wall time as
-    ``worker_seconds``.
+    ``payload`` is ``(PairPayload, use_cache)``; returns the
+    :class:`~repro.bench.runner.KernelRun`.  A task whose session
+    collects spans or remarks always runs cold (its value *is* the
+    streams); otherwise a store hit rebuilds the KernelRun from the cold
+    run's stored document and counts ``serve.task_cache.hits`` in the
+    task's record (which is how the wire reply reports ``cached``).
     """
     from ..bench.parallel import _run_pair
 
     pair, use_cache = payload
-    trace, remarks = pair[4], pair[5]
+    session = current_session()
     store = state.result_store if use_cache else None
-    if store is None or trace or remarks:
-        run, capture = _run_pair(pair)
-        capture["generation"] = state.generation
-        return run, capture
-    started = time.perf_counter()
+    if store is None or session.tracer.enabled or session.remarks.enabled:
+        return _run_pair(pair)
     key = _bench_task_key(state, pair)
     entry = store.get(key)
     if entry is not None and entry.get("format") == BENCH_TASK_FORMAT:
         _TASK_HITS.add()
-        run = run_from_json(entry["run"])
-        capture = {
-            "pid": os.getpid(),
-            "generation": state.generation,
-            "worker_seconds": time.perf_counter() - started,
-            "cached": True,
-        }
-        return run, capture
+        return run_from_json(entry["run"])
     _TASK_MISSES.add()
-    run, capture = _run_pair(pair)
-    capture["generation"] = state.generation
+    run = _run_pair(pair)
     store.put(key, {"format": BENCH_TASK_FORMAT, "run": run_to_json(run)})
-    return run, capture
+    return run
 
 
 @task_kind("compile")
@@ -258,7 +249,7 @@ def _compile_task(payload, state: WorkerState):
     target = target_named(target_name) if target_name else DEFAULT_TARGET
     unroll = int(payload.get("unroll", 0))
     cache = state.compile_cache if payload.get("cache", True) else None
-    session = state.session.derive(name="serve-compile")
+    session = current_session().derive(name="serve-compile")
     result = cached_compile_module(
         module, config, target,
         unroll_factor=unroll, session=session, cache=cache,

@@ -98,24 +98,23 @@ def _task_for_request(doc: Dict[str, object]) -> Tuple[str, object, Optional[str
             doc.get("config", "SN-SLP"),
             doc.get("target", "skylake-like"),
             int(doc.get("seed", DEFAULT_SEED)),
-            False,  # trace
-            False,  # remarks
             bool(doc.get("journal", False)),
-            False,  # metrics
         )
         return "bench-pair", (pair, True), kernel
     raise ValueError(f"unknown request kind {kind!r}")
 
 
-def _result_for_wire(kind: str, result: object) -> object:
-    """Make a task result JSON-serializable for the response line."""
+def _result_for_wire(kind: str, future) -> object:
+    """Make a resolved task's result JSON-serializable for the response
+    line; a bench reply adds facts from the task's telemetry record."""
+    result = future.result()
     if kind == "bench-pair":
-        run, capture = result
+        telemetry = future.telemetry
         return {
-            "run": run_to_json(run),
-            "worker_pid": capture.get("pid"),
-            "worker_seconds": capture.get("worker_seconds"),
-            "cached": bool(capture.get("cached", False)),
+            "run": run_to_json(result),
+            "worker_pid": telemetry.pid,
+            "worker_seconds": telemetry.seconds,
+            "cached": bool(telemetry.counters.get("serve.task_cache.hits")),
         }
     return result
 
@@ -158,7 +157,7 @@ def serve_stream(
         def callback(future) -> None:
             try:
                 try:
-                    result = future.result()
+                    result = _result_for_wire(kind, future)
                 except ServiceError as exc:
                     reply({
                         "id": request_id,
@@ -179,7 +178,7 @@ def serve_stream(
                     reply({
                         "id": request_id,
                         "ok": True,
-                        "result": _result_for_wire(kind, result),
+                        "result": result,
                     })
             finally:
                 replied.set()

@@ -348,6 +348,38 @@ class TestWorkerObservabilityMerge:
             "worker_pid" in remark.args for remark in session.remarks.remarks
         )
 
+    def test_parallel_remarks_equal_serial_remarks(self):
+        """Worker records are absorbed in completion order, so what holds
+        is equality of content: ``jobs=2`` merges the same remark
+        multiset as ``jobs=1`` (``worker_pid`` aside)."""
+        from collections import Counter
+
+        from repro.bench import run_suite_parallel
+
+        kernels = [
+            kernel_named("motiv-leaf-reorder"),
+            kernel_named("motiv-trunk-reorder"),
+        ]
+
+        def remark_multiset(jobs):
+            session = CompilerSession(name=f"remarks-jobs{jobs}")
+            session.remarks.enable()
+            with use_session(session):
+                run_suite_parallel(kernels, jobs=jobs)
+            docs = []
+            for remark in session.remarks.remarks:
+                doc = remark.to_dict()
+                doc["args"] = {
+                    key: value for key, value in doc["args"].items()
+                    if key != "worker_pid"
+                }
+                docs.append(json.dumps(doc, sort_keys=True))
+            return Counter(docs)
+
+        serial = remark_multiset(1)
+        assert serial
+        assert remark_multiset(2) == serial
+
     def test_parallel_bench_without_observability_merges_nothing(self):
         from repro.bench import run_suite_parallel
 

@@ -371,6 +371,37 @@ class TestCounterContracts:
         assert result.counters.get("slp.graphs-vectorized", 0) == 0
 
 
+    def test_every_registered_counter_is_documented(self):
+        """Every name registered through ``STAT(...)`` anywhere in the
+        package appears in docs/OBSERVABILITY.md's counter table.  The
+        catalog is read in a fresh interpreter, so counters that tests
+        register on the fly do not count."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        script = (
+            "import importlib, json, pkgutil, repro\n"
+            "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not m.name.endswith('__main__'):\n"
+            "        importlib.import_module(m.name)\n"
+            "from repro.observe import STAT_CATALOG\n"
+            "print(json.dumps(sorted(STAT_CATALOG)))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[1]
+        names = json.loads(
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": "src"}, cwd=root,
+            ).stdout
+        )
+        text = (root / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        assert names
+        assert [name for name in names if f"| `{name}` |" not in text] == []
+
+
 class TestMissedReasonHistograms:
     def test_partial_gathers_no_longer_dropped(self):
         # milc-su3-cmul under LSLP vectorizes graphs that still contain

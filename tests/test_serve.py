@@ -66,10 +66,9 @@ from repro.vectorizer.cache import (
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
-#: a cold bench pair: (kernel, config, target, seed, trace, remarks,
-#: journal, metrics) — the same PairPayload the bench driver ships
-PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED,
-        False, False, False, False)
+#: a cold bench pair: (kernel, config, target, seed, journal) — the
+#: same PairPayload the bench driver ships
+PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED, False)
 
 
 def service_session() -> CompilerSession:
@@ -89,7 +88,7 @@ class TestServiceLifecycle:
     def test_crash_respawns_requeues_and_stays_bit_identical(self, tmp_path):
         """A worker dying mid-task is respawned and the task requeued;
         the retried result matches a serial run bit-for-bit."""
-        expected, _ = _run_pair(PAIR)
+        expected = _run_pair(PAIR)
         marker = str(tmp_path / "crash-once.json")
         session = service_session()
         with CompileService(
@@ -99,9 +98,9 @@ class TestServiceLifecycle:
                 "crash-once",
                 {"marker": marker, "kind": "bench-pair", "payload": (PAIR, False)},
             )
-            run, capture = future.result(timeout=60)
+            run = future.result(timeout=60)
         crashed_pid = json.loads(open(marker).read())["pid"]
-        assert capture["pid"] != crashed_pid  # retry ran in a respawn
+        assert future.telemetry.pid != crashed_pid  # retry ran in a respawn
         assert run.cycles == expected.cycles
         assert run.counters == expected.counters
         assert run.outputs == expected.outputs
@@ -356,6 +355,32 @@ class TestWireProtocol:
         assert responses[4]["result"]["workers"][0]["pid"] > 0
         assert responses[5]["result"] == {"shutdown": True}
 
+    def test_served_requests_leave_worker_histograms(self):
+        """Regression: with a metrics-armed service session, a served
+        ``compile`` and a served ``bench`` each leave their worker-side
+        compile histogram in the service session (what ``repro serve
+        --metrics-out`` exposes)."""
+        from repro.ir.printer import print_module
+
+        session = service_session()
+        session.metrics.enable()
+        ir = print_module(kernel_named("motiv-leaf-reorder").build())
+        compile_request = {"id": 1, "kind": "compile", "ir": ir}
+        bench_request = {"id": 2, "kind": "bench",
+                         "kernel": "motiv-leaf-reorder"}
+        histograms = session.metrics.histograms
+        with CompileService(workers=1, session=session,
+                            name="t-wiremetrics") as svc:
+            for request in (compile_request, bench_request):
+                out = io.StringIO()
+                serve_stream(svc, io.StringIO(json.dumps(request) + "\n"), out)
+                assert json.loads(out.getvalue())["ok"]
+                if request is compile_request:
+                    assert histograms["compile.seconds"].count == 1
+                    assert "bench.compile.seconds" not in histograms
+        assert histograms["bench.compile.seconds"].count == 1
+        assert histograms["compile.seconds"].count == 2
+
     def test_socket_server_and_client(self, tmp_path):
         path = str(tmp_path / "serve.sock")
         with CompileService(workers=1, session=service_session(),
@@ -421,7 +446,7 @@ class TestResilience:
     def test_retry_recovers_bit_identical_results(self):
         """A transient worker fault is retried against the same service;
         the retried result equals a serial run bit-for-bit."""
-        expected, _ = _run_pair(PAIR)
+        expected = _run_pair(PAIR)
         session = service_session()
         policy = ResiliencePolicy(
             backoff_base_seconds=0.001, backoff_max_seconds=0.01
@@ -434,7 +459,7 @@ class TestResilience:
                 results = ex.run_batch(
                     [("bench-pair", (PAIR, False), PAIR[0], 1.0)]
                 )
-        run, _capture = results[0]
+        run = results[0]
         assert run.cycles == expected.cycles
         assert run.counters == expected.counters
         assert run.outputs == expected.outputs
@@ -444,7 +469,7 @@ class TestResilience:
     def test_no_service_degrades_to_serial_with_identical_results(self):
         """The bottom rung: no service at all, tasks still complete with
         results identical to a direct serial run."""
-        expected, _ = _run_pair(PAIR)
+        expected = _run_pair(PAIR)
         session = service_session()
         session.remarks.enable()
         policy = ResiliencePolicy(local_pool_workers=0)
@@ -452,7 +477,7 @@ class TestResilience:
             results = ex.run_batch(
                 [("bench-pair", (PAIR, False), None, 1.0)]
             )
-        run, _capture = results[0]
+        run = results[0]
         assert run.cycles == expected.cycles
         assert run.counters == expected.counters
         assert run.outputs == expected.outputs

@@ -22,11 +22,9 @@ from repro.kernels import kernel_named
 from repro.observe import (
     EventLog,
     TraceContext,
-    current_trace_context,
     load_chrome_trace,
     load_event_log,
     mint_context,
-    use_trace_context,
     validate_span_tree,
 )
 from repro.observe.metrics import MetricsRegistry
@@ -37,10 +35,9 @@ from repro.serve.service import CompileService
 
 MOTIVATING = ("motiv-leaf-reorder", "motiv-trunk-reorder")
 
-#: a cold bench pair: (kernel, config, target, seed, trace, remarks,
-#: journal, metrics) — the same PairPayload the bench driver ships
-PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED,
-        False, False, False, False)
+#: a cold bench pair: (kernel, config, target, seed, journal) — the
+#: same PairPayload the bench driver ships
+PAIR = ("motiv-leaf-reorder", "SN-SLP", "skylake-like", DEFAULT_SEED, False)
 
 
 def traced_session(name: str = "t-tracing") -> CompilerSession:
@@ -75,13 +72,6 @@ class TestTraceContext:
         assert retried.trace_id == root.trace_id
         assert retried.span_id == root.span_id
         assert retried.attempt == root.attempt + 1
-
-    def test_ambient_context_is_scoped(self):
-        assert current_trace_context() is None
-        context = mint_context()
-        with use_trace_context(context):
-            assert current_trace_context() == context
-        assert current_trace_context() is None
 
     def test_minted_ids_are_distinct(self):
         contexts = [mint_context() for _ in range(32)]
@@ -207,6 +197,37 @@ class TestServiceTracing:
         assert task.pid != 0 and root.pid == 0
         assert root.args["status"] == "ok"
 
+    def test_wire_bench_pair_ships_compile_and_phase_spans(self):
+        """Regression: a bench pair built as the wire builds it carries no
+        trace flag, yet a traced service still gets its compile/phase
+        spans back, nested under the request's ``worker:task``."""
+        from repro.serve.wire import _task_for_request
+
+        kind, payload, shard = _task_for_request(
+            {"kind": "bench", "kernel": "motiv-leaf-reorder"}
+        )
+        session = traced_session()
+        with CompileService(workers=1, session=session, name="t-pair") as svc:
+            svc.submit(kind, payload, shard_key=shard).result(timeout=60)
+        events = session.tracer.events
+        assert validate_span_tree(events) == []
+        (root,) = spans_named(session, "serve:request")
+        (task,) = spans_named(session, "worker:task")
+        (compile_span,) = spans_named(session, "compile")
+        phases = [e for e in events if e.name.startswith("phase:")]
+        assert phases
+        by_id = {event.span_id: event for event in events}
+
+        def ancestors(event):
+            while event.parent_id:
+                event = by_id[event.parent_id]
+                yield event
+
+        for span in [compile_span, *phases]:
+            assert span.trace_id == root.trace_id
+            assert task in ancestors(span)
+        assert task.parent_id == root.span_id
+
     def test_crash_requeue_keeps_trace_and_increments_attempt(self, tmp_path):
         """The acceptance path: a worker dies mid-request, the respawned
         worker reruns it under the *same* trace id with attempt+1."""
@@ -233,10 +254,10 @@ class TestServiceTracing:
         assert session.stats.value("serve.requeued") >= 1
 
     def test_tracing_off_is_bit_identical_and_span_free(self):
-        expected, _ = _run_pair(PAIR)
+        expected = _run_pair(PAIR)
         quiet = CompilerSession(name="t-quiet")
         with CompileService(workers=1, session=quiet, name="t-off") as svc:
-            run, _capture = svc.submit(
+            run = svc.submit(
                 "bench-pair", (PAIR, False)
             ).result(timeout=60)
         assert quiet.tracer.events == []
@@ -274,12 +295,12 @@ class TestResilienceTracing:
         assert validate_span_tree(session.tracer.events) == []
 
     def test_degrade_to_serial_parents_into_request(self):
-        expected, _ = _run_pair(PAIR)
+        expected = _run_pair(PAIR)
         session = traced_session()
         policy = ResiliencePolicy(local_pool_workers=0)
         with ResilientExecutor(None, policy=policy, session=session) as ex:
             results = ex.run_batch([("bench-pair", (PAIR, False), None, 1.0)])
-        run, _capture = results[0]
+        run = results[0]
         assert run.cycles == expected.cycles
         assert run.outputs == expected.outputs
         assert session.stats.value("serve.degraded") == 1
